@@ -43,18 +43,18 @@ CountRow run(std::size_t fanout, double p_dcc) {
       static_cast<double>(cfg.nodes) *
       (lifting::to_seconds(cfg.duration) /
        lifting::to_seconds(cfg.gossip.period));
-  const auto per = [&](const char* kind) {
-    return static_cast<double>(m.value(std::string("sent.") + kind +
-                                       ".count")) /
-           node_periods;
+  const auto per = [&](std::uint64_t count) {
+    return static_cast<double>(count) / node_periods;
   };
+  using namespace lifting::gossip;
   return CountRow{fanout,
                   p_dcc,
-                  per("ack"),
-                  per("confirm_req"),
-                  per("confirm_resp"),
-                  per("blame"),
-                  per("propose") + per("request") + per("serve")};
+                  per(m.of<AckMsg>().count),
+                  per(m.of<ConfirmReqMsg>().count),
+                  per(m.of<ConfirmRespMsg>().count),
+                  per(m.of<BlameMsg>().count),
+                  per(m.of<ProposeMsg>().count + m.of<RequestMsg>().count +
+                      m.of<ServeMsg>().count)};
 }
 
 }  // namespace

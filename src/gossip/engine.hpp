@@ -96,6 +96,16 @@ struct EngineStats {
   std::uint64_t chunks_served = 0;
   std::uint64_t invalid_requests = 0;  // requests not matching a proposal
   std::uint64_t duplicate_requests = 0;  // already-served (transport dup)
+  EngineStats& operator+=(const EngineStats& o) noexcept {
+    chunks_received += o.chunks_received;
+    duplicate_serves += o.duplicate_serves;
+    proposals_sent += o.proposals_sent;
+    requests_sent += o.requests_sent;
+    chunks_served += o.chunks_served;
+    invalid_requests += o.invalid_requests;
+    duplicate_requests += o.duplicate_requests;
+    return *this;
+  }
 };
 
 class Engine {

@@ -2,14 +2,14 @@
 #define LIFTING_GOSSIP_MAILER_HPP
 
 #include <array>
-#include <optional>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <variant>
+#include <vector>
 
 #include "gossip/message.hpp"
 #include "net/transport.hpp"
-#include "sim/metrics.hpp"
-#include "sim/network.hpp"
 
 /// Sends protocol messages through a net::Transport while keeping per-kind
 /// message/byte accounting — the raw data behind Table 5 (verification
@@ -19,27 +19,59 @@
 /// The Mailer is the single choke point between the protocol stack and the
 /// backend: every Engine/Agent send passes through it, so swapping the
 /// transport (simulator vs real UDP sockets) never touches protocol code.
-///
-/// Counter handles are resolved once per message kind (on its first send,
-/// preserving the registry's historical registration order) and cached by
-/// variant index, so steady-state accounting is two pointer bumps with no
-/// string building on the per-message path.
 
 namespace lifting::gossip {
 
+/// Messages and modeled bytes sent, per Message kind (variant index). A
+/// flat array: accounting a send is two adds, with no lookup.
+class SendTally {
+ public:
+  struct Kind {
+    std::uint64_t count = 0;
+    std::uint64_t bytes = 0;
+  };
+  static constexpr std::size_t kKinds = std::variant_size_v<Message>;
+
+  void add(std::size_t kind, std::size_t bytes) noexcept {
+    ++kinds_[kind].count;
+    kinds_[kind].bytes += bytes;
+  }
+  template <typename M>
+  [[nodiscard]] const Kind& of() const noexcept {
+    return kinds_[kind_index<M>()];
+  }
+  /// Bytes sent over the kinds [first, last).
+  [[nodiscard]] std::uint64_t bytes(std::size_t first,
+                                    std::size_t last) const noexcept {
+    std::uint64_t total = 0;
+    for (std::size_t k = first; k < last; ++k) total += kinds_[k].bytes;
+    return total;
+  }
+  /// `sent.<kind>.count` / `sent.<kind>.bytes` for every kind in variant
+  /// order, zeros included — the reported names (DESIGN.md §13).
+  [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> snapshot()
+      const {
+    std::vector<std::pair<std::string, std::uint64_t>> out;
+    out.reserve(2 * kKinds);
+    for (std::size_t k = 0; k < kKinds; ++k) {
+      const std::string prefix = std::string("sent.") + message_kind_name(k);
+      out.emplace_back(prefix + ".count", kinds_[k].count);
+      out.emplace_back(prefix + ".bytes", kinds_[k].bytes);
+    }
+    return out;
+  }
+  void reset() noexcept { kinds_.fill(Kind{}); }
+
+ private:
+  std::array<Kind, kKinds> kinds_{};
+};
+
 class Mailer {
  public:
-  /// Simulator convenience: wraps `network` in an owned SimTransport.
-  /// `metrics` may be null (no accounting, e.g. in micro-tests).
-  Mailer(sim::Network<Message>& network, sim::MetricsRegistry* metrics)
-      : sim_backend_(std::in_place, network),
-        transport_(*sim_backend_),
-        metrics_(metrics) {}
-
-  /// Backend-agnostic form: sends through `transport` (which must outlive
-  /// the Mailer). Used by the wire deployment (NodeHost over UdpTransport).
-  Mailer(net::Transport& transport, sim::MetricsRegistry* metrics)
-      : transport_(transport), metrics_(metrics) {}
+  /// Sends through `transport`, which must outlive the Mailer: a
+  /// net::SimTransport in the simulator, a net::UdpTransport on the wire
+  /// (either behind the fault injector).
+  explicit Mailer(net::Transport& transport) : transport_(transport) {}
 
   /// Prices the §5.3 audit kinds (and their channel acks) with the exact
   /// datagram model instead of amortized TCP framing — set by the runtime
@@ -55,41 +87,19 @@ class Mailer {
     const std::size_t bytes = datagram_audit_pricing_ && audit_kind
                                   ? datagram_wire_size(message)
                                   : wire_size(message);
-    if (metrics_ != nullptr) {
-      auto& kind_counters = counters_[message.index()];
-      if (kind_counters.count == nullptr) {
-        const std::string kind = message_kind(message);
-        kind_counters.count = &metrics_->counter("sent." + kind + ".count");
-        kind_counters.bytes = &metrics_->counter("sent." + kind + ".bytes");
-      }
-      kind_counters.count->add(1);
-      kind_counters.bytes->add(bytes);
-    }
+    tally_.add(message.index(), bytes);
     transport_.send(from, to, channel, bytes, std::move(message));
   }
 
   [[nodiscard]] net::Transport& transport() noexcept { return transport_; }
-  [[nodiscard]] sim::MetricsRegistry* metrics() noexcept { return metrics_; }
+  [[nodiscard]] const SendTally& tally() const noexcept { return tally_; }
+  void reset_tally() noexcept { tally_.reset(); }
 
  private:
-  struct KindCounters {
-    sim::Counter* count = nullptr;
-    sim::Counter* bytes = nullptr;
-  };
-
-  // Declared before transport_ so the simulator constructor can bind the
-  // reference to the engaged optional.
-  std::optional<net::SimTransport> sim_backend_;
   net::Transport& transport_;
-  sim::MetricsRegistry* metrics_;
   bool datagram_audit_pricing_ = false;
-  std::array<KindCounters, std::variant_size_v<Message>> counters_{};
+  SendTally tally_;
 };
-
-/// Message kinds that constitute the three-phase dissemination itself.
-[[nodiscard]] inline bool is_dissemination_kind(const std::string& kind) {
-  return kind == "propose" || kind == "request" || kind == "serve";
-}
 
 }  // namespace lifting::gossip
 

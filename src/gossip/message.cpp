@@ -156,29 +156,6 @@ struct DatagramSizeVisitor {
   }
 };
 
-struct KindVisitor {
-  const char* operator()(const ProposeMsg&) const { return "propose"; }
-  const char* operator()(const RequestMsg&) const { return "request"; }
-  const char* operator()(const ServeMsg&) const { return "serve"; }
-  const char* operator()(const AckMsg&) const { return "ack"; }
-  const char* operator()(const ConfirmReqMsg&) const { return "confirm_req"; }
-  const char* operator()(const ConfirmRespMsg&) const { return "confirm_resp"; }
-  const char* operator()(const BlameMsg&) const { return "blame"; }
-  const char* operator()(const ScoreQueryMsg&) const { return "score_query"; }
-  const char* operator()(const ScoreReplyMsg&) const { return "score_reply"; }
-  const char* operator()(const ExpelRequestMsg&) const { return "expel_request"; }
-  const char* operator()(const ExpelVoteMsg&) const { return "expel_vote"; }
-  const char* operator()(const ExpelCommitMsg&) const { return "expel_commit"; }
-  const char* operator()(const AuditRequestMsg&) const { return "audit_request"; }
-  const char* operator()(const AuditHistoryMsg&) const { return "audit_history"; }
-  const char* operator()(const HistoryPollMsg&) const { return "history_poll"; }
-  const char* operator()(const HistoryPollRespMsg&) const {
-    return "history_poll_resp";
-  }
-  const char* operator()(const AuditAckMsg&) const { return "audit_ack"; }
-  const char* operator()(const RpsShuffleMsg&) const { return "rps_shuffle"; }
-};
-
 }  // namespace
 
 std::size_t wire_size(const Message& msg) {
@@ -190,7 +167,7 @@ std::size_t datagram_wire_size(const Message& msg) {
 }
 
 const char* message_kind(const Message& msg) {
-  return std::visit(KindVisitor{}, msg);
+  return message_kind_name(msg.index());
 }
 
 const char* message_kind_name(std::size_t index) {

@@ -218,6 +218,17 @@ using Message =
                  AuditRequestMsg, AuditHistoryMsg, HistoryPollMsg,
                  HistoryPollRespMsg, AuditAckMsg, RpsShuffleMsg>;
 
+/// Variant index of the Message alternative `M` (compile time), e.g. to
+/// read one kind out of a per-kind table.
+template <typename M, std::size_t I = 0>
+[[nodiscard]] constexpr std::size_t kind_index() noexcept {
+  if constexpr (std::is_same_v<std::variant_alternative_t<I, Message>, M>) {
+    return I;
+  } else {
+    return kind_index<M, I + 1>();
+  }
+}
+
 /// The first kGossipKindCount Message alternatives are the dissemination
 /// kinds handled by the gossip engine (routing tests `index() < 4`); the
 /// asserts pin the variant order that routing relies on.

@@ -157,8 +157,9 @@ class CrossChecker {
     /// Witnesses whose testimony was counted. One vote per witness: a
     /// transport-duplicated response must not fill the round's quota and
     /// crowd out a real witness (duplicate-delivery idempotence,
-    /// tests/test_faults.cpp).
-    std::vector<NodeId> responded;
+    /// tests/test_faults.cpp). Inline storage covers the fanout, so a
+    /// round allocates nothing.
+    gossip::PartnerList responded;
     [[nodiscard]] std::pair<NodeId, PeriodIndex> key() const noexcept {
       return {subject, subject_period};
     }
@@ -190,8 +191,9 @@ class CrossChecker {
   /// judged — a transport-level duplicate of an ack must not double-blame
   /// kFanoutDecrease (each ack asserts ONE propose phase's partner set).
   /// Sorted flat vector; pruned against the advancing period horizon so it
-  /// stays bounded by the in-flight window.
-  std::vector<std::pair<NodeId, PeriodIndex>> fanout_checked_;
+  /// stays bounded by the in-flight window, and recycled so its growth
+  /// reuses freed blocks instead of allocating in steady state.
+  RecycledVector<std::pair<NodeId, PeriodIndex>> fanout_checked_;
   std::uint64_t generation_ = 0;
   std::uint64_t rounds_started_ = 0;
 };

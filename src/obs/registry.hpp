@@ -1,7 +1,6 @@
 #ifndef LIFTING_OBS_REGISTRY_HPP
 #define LIFTING_OBS_REGISTRY_HPP
 
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -9,54 +8,29 @@
 #include <string_view>
 
 /// Unified metrics registry (DESIGN.md §13): one named home for the
-/// counters that used to live scattered across KindWireStats, the agents'
-/// audit-channel totals, FaultInjector::Stats and the engines' duplicate
-/// counters. Deployments *fold into* a Registry (Experiment::
-/// collect_metrics, lifting_node's stat emitter) — the hot-path structs
+/// counters that live scattered across the Mailer's send tally, the
+/// engines, the agents' audit-channel totals, FaultInjector::Stats and the
+/// transports. Deployments *fold into* a Registry (Experiment::
+/// collect_metrics, NodeHost::collect_metrics) — the hot-path structs
 /// stay as they are; the registry is the reporting surface: self-
 /// describing bench JSON rows and the periodic mid-run STAT lines the
 /// wire protocol streams.
 ///
-/// Entries live in a deque so references stay stable across registration
-/// (the sim::MetricsRegistry idiom); iteration is registration order,
-/// which keeps every exported listing deterministic.
+/// Entries live in a deque so references stay stable across registration;
+/// iteration is registration order, which keeps every exported listing
+/// deterministic.
 
 namespace lifting::obs {
 
-/// Fixed-bucket log2 histogram: bucket i counts observations in
-/// [2^(i-1), 2^i) (bucket 0 is [0, 1)). Bounded, allocation-free.
-struct Histogram {
-  std::array<std::uint64_t, 32> buckets{};
-  std::uint64_t count = 0;
-  double sum = 0.0;
-
-  void observe(double v) noexcept {
-    ++count;
-    sum += v;
-    std::size_t b = 0;
-    for (double x = v; x >= 1.0 && b + 1 < buckets.size(); x /= 2.0) ++b;
-    ++buckets[b];
-  }
-  [[nodiscard]] double mean() const noexcept {
-    return count == 0 ? 0.0 : sum / static_cast<double>(count);
-  }
-  void reset() noexcept {
-    buckets.fill(0);
-    count = 0;
-    sum = 0.0;
-  }
-};
-
 class Registry {
  public:
-  enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
+  enum class Kind : std::uint8_t { kCounter, kGauge };
 
   struct Entry {
     std::string name;
     Kind kind = Kind::kCounter;
     std::uint64_t counter = 0;
     double gauge = 0.0;
-    Histogram histogram;
   };
 
   /// Monotone event count. Registered on first use; later calls with the
@@ -68,30 +42,17 @@ class Registry {
   [[nodiscard]] double& gauge(std::string_view name) {
     return slot(name, Kind::kGauge).gauge;
   }
-  [[nodiscard]] Histogram& histogram(std::string_view name) {
-    return slot(name, Kind::kHistogram).histogram;
-  }
 
   /// Sets a counter to an externally folded total (the collect_metrics
   /// pattern re-folds absolute totals rather than accumulating deltas).
   void set_counter(std::string_view name, std::uint64_t value) {
     counter(name) = value;
   }
-  void set_gauge(std::string_view name, double value) { gauge(name) = value; }
 
   [[nodiscard]] const std::deque<Entry>& entries() const noexcept {
     return entries_;
   }
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-
-  /// Zeroes every value; names and registration order survive.
-  void reset_values() noexcept {
-    for (auto& e : entries_) {
-      e.counter = 0;
-      e.gauge = 0.0;
-      e.histogram.reset();
-    }
-  }
 
  private:
   [[nodiscard]] Entry& slot(std::string_view name, Kind kind);
@@ -100,8 +61,7 @@ class Registry {
 };
 
 /// Scoped wall-clock phase timer: on destruction writes the elapsed
-/// seconds into `registry.gauge(name)` and observes it in
-/// `registry.histogram(name + "_hist")`. Reporting-side only (benches,
+/// seconds into `registry.gauge(name)`. Reporting-side only (benches,
 /// tools) — never inside deterministic protocol code.
 class ScopedTimer {
  public:
@@ -119,7 +79,6 @@ class ScopedTimer {
                                       start_)
             .count();
     registry_.gauge(name_) = seconds;
-    registry_.histogram(name_ + "_hist").observe(seconds);
   }
 
  private:

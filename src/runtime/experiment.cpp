@@ -11,19 +11,6 @@
 namespace lifting::runtime {
 
 namespace {
-/// Rng-stream key for incarnations past the first: purpose tag, node id
-/// and epoch occupy fully disjoint bit fields (56..63 / 24..55 / 0..23),
-/// so no two (purpose, node, epoch) triples can alias — the layout is
-/// load-bearing for the no-replayed-randomness guarantee and must only
-/// exist here. Epoch-1 streams keep the legacy `base + i` constants
-/// (fixed-seed goldens).
-[[nodiscard]] std::uint64_t incarnation_stream(std::uint64_t purpose,
-                                               std::uint32_t node,
-                                               std::uint32_t epoch) {
-  return splitmix64((purpose << 56U) |
-                    (static_cast<std::uint64_t>(node) << 24U) | epoch);
-}
-
 /// Draws the freerider role set (sorted; never the source) from the role
 /// stream. Shared by build() — whose weak-link picks continue the same
 /// stream — and the standalone derive_freerider_ids().
@@ -75,7 +62,7 @@ void Experiment::reset(std::uint64_t seed) {
 
 void Experiment::rewind() {
   sim_.reset();
-  metrics_.reset_all();  // counters zeroed; Mailer's cached handles stay valid
+  mailer_->reset_tally();
   directory_.reset(config_.nodes);
   rng_ = derive_rng(config_.seed, /*stream=*/0xE58);
   ledger_.reset();
@@ -150,7 +137,7 @@ void Experiment::build() {
     transport_ = std::make_unique<net::SimTransport>(*network_);
     injector_ =
         std::make_unique<faults::FaultInjector>(*transport_, sim_, config_.seed);
-    mailer_ = std::make_unique<gossip::Mailer>(*injector_, &metrics_);
+    mailer_ = std::make_unique<gossip::Mailer>(*injector_);
   } else {
     // Reset path: same network object (the Mailer's reference stays
     // valid), fresh endpoints and statistics, reused delivery pool.
@@ -223,10 +210,6 @@ void Experiment::build() {
     make_node(i, behavior, weak_[i] != 0 ? config_.weak_link : config_.link);
   }
 
-  // --- stream source at node 0
-  source_ = std::make_unique<gossip::StreamSource>(sim_, *nodes_[0].engine,
-                                                   config_.stream);
-
   // --- adaptive adversaries (DESIGN.md §8). Guarded so the default
   // (Strategy::kNone) constructs nothing, draws nothing and schedules
   // nothing — the fixed-seed goldens pin that inertness.
@@ -249,14 +232,14 @@ void Experiment::make_controller(NodeId id) {
   hooks.apply_behavior = [this, v](const gossip::BehaviorSpec& spec) {
     if (is_departed(NodeId{static_cast<std::uint32_t>(v)})) return;
     auto& node = nodes_[v];
-    node.engine->set_behavior(spec);
-    if (node.agent) node.agent->set_behavior(spec);
+    node.engine().set_behavior(spec);
+    if (node.agent()) node.agent()->set_behavior(spec);
   };
   if (config_.lifting_enabled) {
     // Manager score-feedback channel: a real §5.1 read about ourselves,
     // through whatever agent incarnation currently occupies the slot.
     hooks.probe_score = [this, id, v](adversary::ScoreEstimateFn on_done) {
-      auto* agent = nodes_[v].agent.get();
+      auto* agent = nodes_[v].agent();
       if (agent == nullptr) {
         on_done(adversary::ScoreEstimate{});
         return;
@@ -306,53 +289,15 @@ void Experiment::make_node(std::uint32_t i,
                            const sim::LinkProfile& profile) {
   const NodeId id{i};
   auto& node = nodes_[i];
-  // Per-node rng streams live in disjoint 2^32-wide bases so no two
-  // (purpose, node) pairs can ever collide — the old 0x1000+i / 0x2000+i
-  // scheme gave node 4096+k's agent the exact stream of node k's engine,
-  // silently correlating audit sampling with partner selection at the
-  // populations the scale benches measure. A rejoining incarnation
-  // (epoch > 1) must not replay its predecessor's randomness, so later
-  // epochs mix (base, node, epoch) through splitmix64 instead — the
-  // epoch-1 constants are untouched to keep fixed-seed goldens valid.
-  const std::uint32_t epoch = std::max(directory_.epoch_of(id), 1U);
-  const auto stream = [&](std::uint64_t legacy_base, std::uint64_t purpose) {
-    return epoch == 1 ? legacy_base + i : incarnation_stream(purpose, i, epoch);
-  };
-  if (config_.lifting_enabled) {
-    // Genesis is the node's own join instant: a joiner's score normalizes
-    // over the periods it has actually spent in the system.
-    node.agent = std::make_unique<lifting::Agent>(
-        sim_, *mailer_, directory_, id, config_.lifting, behavior,
-        derive_rng(config_.seed, stream(0xA00000000ULL, 0xA5)), config_.seed,
-        sim_.now(), hooks_, assignment_);
-  }
-  auto params = config_.gossip;
-  params.emit_acks = config_.lifting_enabled;
-  node.engine = std::make_unique<gossip::Engine>(
-      sim_, *mailer_, directory_, id, params, behavior,
-      derive_rng(config_.seed, stream(0xB00000000ULL, 0xB5)),
-      node.agent ? node.agent.get() : nullptr);
-  node.engine->reserve_stream_chunks(config_.stream.expected_chunks());
-  if (rps_) node.engine->set_partner_view(rps_.get());
+  node = NodeStack(sim_, *mailer_, directory_, config_, assignment_, hooks_,
+                   id, std::max(directory_.epoch_of(id), 1U), behavior);
+  if (rps_) node.engine().set_partner_view(rps_.get());
   // Late joiners and rejoiners enter an armed deployment already traced.
-  if (recorder_ != nullptr) {
-    node.engine->set_trace(recorder_.get());
-    if (node.agent) node.agent->set_trace(recorder_.get());
-  }
-
-  network_->add_node(id, profile, [this, i](
-                                      sim::Delivery<gossip::Message>& d) {
-    auto& target = nodes_[i];
-    const auto& msg = d.payload;
-    // The leading Message alternatives are the gossip kinds
-    // (propose/request/serve/ack — order pinned by static_asserts next
-    // to the variant); everything else is LiFTinG traffic.
-    if (msg.index() < gossip::kGossipKindCount) {
-      target.engine->handle(d.from, msg);
-    } else if (target.agent) {
-      target.agent->handle(d.from, msg);
-    }
-  });
+  if (recorder_ != nullptr) node.set_trace(recorder_.get());
+  network_->add_node(id, profile,
+                     [this, i](sim::Delivery<gossip::Message>& d) {
+                       nodes_[i].route(d.from, d.payload);
+                     });
 }
 
 void Experiment::run_until(TimePoint t) {
@@ -362,10 +307,9 @@ void Experiment::run_until(TimePoint t) {
       const auto offset = Duration{static_cast<Duration::rep>(
           rng_.uniform() *
           static_cast<double>(config_.gossip.period.count()))};
-      nodes_[i].engine->start(offset);
-      if (nodes_[i].agent) nodes_[i].agent->start(offset);
+      nodes_[i].start(offset);
     }
-    source_->start();
+    nodes_[0].source()->start();
     // Timeline events become ordinary simulator events. Scheduling them in
     // stable time order means equal timestamps apply in insertion order
     // (the queue's (time, insertion-seq) total order), and run_until
@@ -386,11 +330,7 @@ void Experiment::run() { run_until(kSimEpoch + config_.duration); }
 
 void Experiment::wind_down() {
   wound_down_ = true;
-  if (source_) source_->stop();
-  for (auto& node : nodes_) {
-    if (node.engine) node.engine->stop();
-    if (node.agent) node.agent->stop();
-  }
+  for (auto& node : nodes_) node.stop();
   // Adversary controllers reschedule themselves like agents do; stopping
   // them is what lets the drain below terminate.
   for (auto& controller : controllers_) {
@@ -454,8 +394,8 @@ void Experiment::apply_event(const ScenarioEvent& event) {
       set_freerider(event.node, event.freerider);
       const auto behavior = resolve_behavior(event.behavior);
       auto& node = nodes_[v];
-      node.engine->set_behavior(behavior);
-      if (node.agent) node.agent->set_behavior(behavior);
+      node.engine().set_behavior(behavior);
+      if (node.agent()) node.agent()->set_behavior(behavior);
       break;
     }
     case ScenarioEventKind::kSetLink: {
@@ -502,8 +442,7 @@ NodeId Experiment::join_node(const ScenarioEvent& event) {
   const auto offset = Duration{static_cast<Duration::rep>(
       offset_rng.uniform() *
       static_cast<double>(config_.gossip.period.count()))};
-  nodes_[idv].engine->start(offset);
-  if (nodes_[idv].agent) nodes_[idv].agent->start(offset);
+  nodes_[idv].start(offset);
   // A freeriding joiner is an adversary like any base-population one: it
   // gets a controller the moment it enters (a coalition recruits it as the
   // members' views catch up).
@@ -528,9 +467,7 @@ void Experiment::retire_node(NodeId id, bool crash) {
   // pending timers and deliveries referencing them stay valid, but they
   // stop proposing, ticking and testifying. The network endpoint is torn
   // down immediately — packets to a dead host vanish.
-  auto& node = nodes_[v];
-  node.engine->stop();
-  if (node.agent) node.agent->stop();
+  nodes_[v].stop();
   network_->remove_node(id);
   // The RPS learns of the departure like the membership does: the node's
   // own view empties now, references elsewhere decay as stale entries.
@@ -589,8 +526,8 @@ void Experiment::execute_handoffs(
     bool expelled) {
   for (const auto& handoff : executed) {
     bool migrated = false;
-    auto* from = nodes_[handoff.departed.value()].agent.get();
-    auto* to = nodes_[handoff.replacement.value()].agent.get();
+    auto* from = nodes_[handoff.departed.value()].agent();
+    auto* to = nodes_[handoff.replacement.value()].agent();
     if (from != nullptr && to != nullptr) {
       // The move zeroes the departing store's row, so a row can migrate at
       // most once (tests/test_churn_resilience.cpp pins this).
@@ -666,14 +603,14 @@ void Experiment::rejoin_node(NodeId id) {
   // so the rejoining node's own carried row still obeys the fresh policy.
   if (config_.lifting_enabled && !config_.manager_handoff &&
       config_.carried_manager_store) {
-    auto* old_agent = retired_.back().agent.get();
-    auto* new_agent = nodes_[v].agent.get();
+    auto* old_agent = retired_.back().agent();
+    auto* new_agent = nodes_[v].agent();
     if (old_agent != nullptr && new_agent != nullptr) {
       old_agent->manager_store().carry_into(new_agent->manager_store());
     }
   }
 
-  // Desynchronized start, keyed like make_node's streams so no incarnation
+  // Desynchronized start, keyed like NodeStack's streams so no incarnation
   // replays another's offset draw.
   auto offset_rng = derive_rng(
       config_.seed,
@@ -682,8 +619,7 @@ void Experiment::rejoin_node(NodeId id) {
   const auto offset = Duration{static_cast<Duration::rep>(
       offset_rng.uniform() *
       static_cast<double>(config_.gossip.period.count()))};
-  nodes_[v].engine->start(offset);
-  if (nodes_[v].agent) nodes_[v].agent->start(offset);
+  nodes_[v].start(offset);
 
   if (config_.lifting_enabled) {
     // The returning node becomes an eligible handoff candidate again;
@@ -698,7 +634,7 @@ void Experiment::rejoin_node(NodeId id) {
       // migrate the previous incarnation's blame to the replacement,
       // silently violating the fresh policy.
       for (const auto manager : assignment_->of(id)) {
-        auto* agent = nodes_[manager.value()].agent.get();
+        auto* agent = nodes_[manager.value()].agent();
         if (agent != nullptr) {
           agent->manager_store().begin_incarnation(id, sim_.now());
         }
@@ -770,8 +706,8 @@ double Experiment::true_score(NodeId id) {
   for (const auto m : mgrs) {
     if (is_departed(m)) continue;  // a departed manager answers nothing
     double s =
-        nodes_[m.value()].agent->manager_store().normalized_score(id,
-                                                                  sim_.now());
+        nodes_[m.value()].agent()->manager_store().normalized_score(
+            id, sim_.now());
     // A colluding manager inflates its coalition's scores on the wire
     // (§5.1); this read mirrors what the managers would actually answer
     // (the same inflated value Agent::handle_score_query reports).
@@ -790,7 +726,7 @@ bool Experiment::majority_expelled(NodeId id) {
   std::size_t counted = 0;
   for (const auto m : mgrs) {
     if (is_departed(m)) continue;
-    if (nodes_[m.value()].agent->manager_store().expelled(id)) ++expelled;
+    if (nodes_[m.value()].agent()->manager_store().expelled(id)) ++expelled;
     ++counted;
   }
   return counted > 0 && expelled * 2 > counted;
@@ -971,9 +907,9 @@ std::vector<gossip::HealthPoint> Experiment::health_curve(
     if (honest_only && is_freerider(id)) continue;
     if (is_departed(id)) continue;          // log froze mid-stream
     if (join_time_[i] > warmup_end) continue;  // missed judgeable chunks
-    deliveries.push_back(&nodes_[i].engine->delivery_times());
+    deliveries.push_back(&nodes_[i].engine().delivery_times());
   }
-  return gossip::health_curve(source_->emitted(), deliveries, sim_.now(),
+  return gossip::health_curve(emitted_chunks(), deliveries, sim_.now(),
                               lags_seconds, playback);
 }
 
@@ -1019,7 +955,7 @@ void Experiment::schedule_health_fold() {
 }
 
 void Experiment::fold_streamed_health() {
-  const auto& emitted = source_->emitted();
+  const auto& emitted = emitted_chunks();
   const std::size_t nlags = streamed_.lags_seconds.size();
   // Joiners since the last fold: extend the counter table (dense by id).
   streamed_.on_time.resize(static_cast<std::size_t>(population()) * nlags, 0);
@@ -1037,7 +973,7 @@ void Experiment::fold_streamed_health() {
     if (chunk.emitted_at < warmup_end) continue;  // ineligible at every lag
     ++streamed_.folded_eligible;
     for (std::uint32_t v = 1; v < population(); ++v) {
-      const TimePoint* at = nodes_[v].engine->delivery_times().find(chunk.id);
+      const TimePoint* at = nodes_[v].engine().delivery_times().find(chunk.id);
       if (at == nullptr) continue;  // never arrived: on time nowhere
       auto* counters = &streamed_.on_time[static_cast<std::size_t>(v) * nlags];
       for (std::size_t j = 0; j < nlags; ++j) {
@@ -1054,17 +990,13 @@ void Experiment::fold_streamed_health() {
   const ChunkId horizon = i < emitted.size()
                               ? emitted[i].id
                               : ChunkId{emitted.back().id.value() + 1};
-  for (auto& node : nodes_) {
-    if (node.engine) node.engine->compact_delivery_log(horizon);
-  }
-  for (auto& node : retired_) {
-    if (node.engine) node.engine->compact_delivery_log(horizon);
-  }
+  for (auto& node : nodes_) node.engine().compact_delivery_log(horizon);
+  for (auto& node : retired_) node.engine().compact_delivery_log(horizon);
 }
 
 std::vector<gossip::HealthPoint> Experiment::streamed_health_curve() {
   require(streamed_.enabled, "call enable_streamed_health first");
-  const auto& emitted = source_->emitted();
+  const auto& emitted = emitted_chunks();
   const std::size_t nlags = streamed_.lags_seconds.size();
   streamed_.on_time.resize(static_cast<std::size_t>(population()) * nlags, 0);
   const TimePoint warmup_end = kSimEpoch + streamed_.playback.warmup;
@@ -1101,7 +1033,7 @@ std::vector<gossip::HealthPoint> Experiment::streamed_health_curve() {
       ++eligible;
       for (std::size_t k = 0; k < included.size(); ++k) {
         const TimePoint* at =
-            nodes_[included[k]].engine->delivery_times().find(chunk.id);
+            nodes_[included[k]].engine().delivery_times().find(chunk.id);
         if (at != nullptr && *at <= chunk.emitted_at + lag) {
           ++tail_on_time[k];
         }
@@ -1133,27 +1065,23 @@ void Experiment::enable_trace(std::size_t capacity) {
   recorder_ = std::make_unique<obs::Recorder>(sim_, capacity);
   injector_->set_trace(recorder_.get());
   if (rps_) rps_->set_trace(recorder_.get());
-  for (auto& node : nodes_) {
-    if (node.engine) node.engine->set_trace(recorder_.get());
-    if (node.agent) node.agent->set_trace(recorder_.get());
-  }
+  for (auto& node : nodes_) node.set_trace(recorder_.get());
   for (auto& controller : controllers_) {
     if (controller) controller->set_trace(recorder_.get());
   }
 }
 
 void Experiment::collect_metrics(obs::Registry& out) const {
-  // Wire stats: every sim::MetricsRegistry counter under its own name
-  // (sent.<kind>.count / sent.<kind>.bytes — the Mailer's naming). The
-  // sim registry orders slots by first use, which depends on deployment
-  // history across resets; sort by name so the folded registry's entry
-  // order is a function of the run alone (the reset audit compares two
-  // registries slot-by-slot).
-  auto wire = metrics_.snapshot();
-  std::sort(wire.begin(), wire.end());
-  for (const auto& [name, value] : wire) {
-    out.set_counter(name, value);
+  NodeCounters counters{.sent = mailer_->tally(),
+                        .engine = {},
+                        .chunks_emitted = emitted_chunks().size(),
+                        .faults = injector_->stats(),
+                        .audit_channel = audit_channel_totals(),
+                        .trace = trace_ring()};
+  for (const auto* pool : {&nodes_, &retired_}) {
+    for (const auto& node : *pool) counters.engine += node.engine().stats();
   }
+  fold_node_counters(counters, out);
   const auto& net = network_->stats();
   out.set_counter("net.datagrams_sent", net.datagrams_sent);
   out.set_counter("net.datagrams_lost", net.datagrams_lost);
@@ -1164,76 +1092,25 @@ void Experiment::collect_metrics(obs::Registry& out) const {
   out.set_counter("net.bytes_sent", net.bytes_sent);
   out.set_counter("net.bytes_delivered", net.bytes_delivered);
   out.set_counter("net.no_route", net.no_route);
-  const auto& faults = injector_->stats();
-  out.set_counter("faults.dropped_burst", faults.dropped_burst);
-  out.set_counter("faults.dropped_partition", faults.dropped_partition);
-  out.set_counter("faults.duplicated", faults.duplicated);
-  out.set_counter("faults.delayed", faults.delayed);
-  out.set_counter("faults.reordered", faults.reordered);
-  const auto audit = audit_channel_totals();
-  out.set_counter("audit_channel.sends", audit.sends);
-  out.set_counter("audit_channel.retries", audit.retries);
-  out.set_counter("audit_channel.give_ups", audit.give_ups);
-  out.set_counter("audit_channel.acks_received", audit.acks_received);
-  out.set_counter("audit_channel.dups_suppressed", audit.dups_suppressed);
-  gossip::EngineStats engines;
-  const auto fold_engines = [&engines](const std::vector<Node>& pool) {
-    for (const auto& node : pool) {
-      if (!node.engine) continue;
-      const auto& s = node.engine->stats();
-      engines.chunks_received += s.chunks_received;
-      engines.duplicate_serves += s.duplicate_serves;
-      engines.proposals_sent += s.proposals_sent;
-      engines.requests_sent += s.requests_sent;
-      engines.chunks_served += s.chunks_served;
-      engines.invalid_requests += s.invalid_requests;
-      engines.duplicate_requests += s.duplicate_requests;
-    }
-  };
-  fold_engines(nodes_);
-  fold_engines(retired_);
-  out.set_counter("engine.chunks_received", engines.chunks_received);
-  out.set_counter("engine.duplicate_serves", engines.duplicate_serves);
-  out.set_counter("engine.proposals_sent", engines.proposals_sent);
-  out.set_counter("engine.requests_sent", engines.requests_sent);
-  out.set_counter("engine.chunks_served", engines.chunks_served);
-  out.set_counter("engine.invalid_requests", engines.invalid_requests);
-  out.set_counter("engine.duplicate_requests", engines.duplicate_requests);
   out.set_counter("blame.ledger_emissions", ledger_.emissions());
   out.set_counter("expulsions.applied", expulsions_.size());
   out.set_counter("handoffs.executed", handoffs_.size());
   out.set_counter("churn.joins", joins_.size());
   out.set_counter("churn.departures", departures_.size());
   out.set_counter("churn.rejoins", rejoins_.size());
-  if (recorder_ != nullptr) {
-    out.set_counter("trace.recorded", recorder_->ring().total_recorded());
-    out.set_counter("trace.dropped", recorder_->ring().dropped());
-  }
 }
 
 OverheadReport Experiment::overhead() const {
+  // Variant order: the dissemination kinds, then ack through expel_commit
+  // (verification), then the audit block and its channel ack; the RPS
+  // shuffle is substrate traffic and counted in none of the three.
+  const auto& sent = mailer_->tally();
+  constexpr auto kAck = gossip::kind_index<gossip::AckMsg>();
+  constexpr auto kRps = gossip::kind_index<gossip::RpsShuffleMsg>();
   OverheadReport report;
-  static const char* kDissemination[] = {"propose", "request", "serve"};
-  static const char* kVerification[] = {"ack",          "confirm_req",
-                                        "confirm_resp", "blame",
-                                        "score_query",  "score_reply",
-                                        "expel_request", "expel_vote",
-                                        "expel_commit"};
-  static const char* kAudit[] = {"audit_request", "audit_history",
-                                 "history_poll", "history_poll_resp",
-                                 "audit_ack"};
-  for (const auto* kind : kDissemination) {
-    report.dissemination_bytes +=
-        metrics_.value(std::string("sent.") + kind + ".bytes");
-  }
-  for (const auto* kind : kVerification) {
-    report.verification_bytes +=
-        metrics_.value(std::string("sent.") + kind + ".bytes");
-  }
-  for (const auto* kind : kAudit) {
-    report.audit_bytes +=
-        metrics_.value(std::string("sent.") + kind + ".bytes");
-  }
+  report.dissemination_bytes = sent.bytes(0, kAck);
+  report.verification_bytes = sent.bytes(kAck, gossip::kAuditKindFirst);
+  report.audit_bytes = sent.bytes(gossip::kAuditKindFirst, kRps);
   return report;
 }
 

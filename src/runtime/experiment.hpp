@@ -17,8 +17,8 @@
 #include "membership/directory.hpp"
 #include "membership/rps.hpp"
 #include "obs/trace.hpp"
+#include "runtime/node_stack.hpp"
 #include "runtime/scenario.hpp"
-#include "sim/metrics.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 
@@ -188,9 +188,8 @@ class Experiment {
   /// bit-identical to constructing a fresh Experiment(config) (asserted by
   /// tests/test_parallel_runner.cpp), but the expensive substrate storage
   /// is reused instead of torn down and re-grown: the event-queue arena,
-  /// the delivery pool, the dense per-node tables, the metrics registry
-  /// (counters zeroed, handles kept) and — when (nodes, managers, seed)
-  /// are unchanged — the shared ManagerAssignment table. Everything a
+  /// the delivery pool, the dense per-node tables and — when (nodes,
+  /// managers, seed) are unchanged — the shared ManagerAssignment table. Everything a
   /// fresh Experiment would not have is gone: measurement hooks like
   /// sample_scores_every() must be re-armed after every reset.
   void reset(ScenarioConfig config);
@@ -234,10 +233,10 @@ class Experiment {
   }
   [[nodiscard]] NodeId source() const noexcept { return NodeId{0}; }
   [[nodiscard]] gossip::Engine& engine(NodeId id) {
-    return *nodes_.at(id.value()).engine;
+    return nodes_.at(id.value()).engine();
   }
   [[nodiscard]] lifting::Agent& agent(NodeId id) {
-    return *nodes_.at(id.value()).agent;
+    return *nodes_.at(id.value()).agent();
   }
   [[nodiscard]] bool has_agents() const noexcept {
     return config_.lifting_enabled;
@@ -420,8 +419,9 @@ class Experiment {
   [[nodiscard]] std::vector<gossip::HealthPoint> streamed_health_curve();
 
   [[nodiscard]] OverheadReport overhead() const;
-  [[nodiscard]] const sim::MetricsRegistry& metrics() const noexcept {
-    return metrics_;
+  /// Messages and modeled bytes sent per kind, over the whole run.
+  [[nodiscard]] const gossip::SendTally& metrics() const noexcept {
+    return mailer_->tally();
   }
 
   /// Arms the flight recorder (DESIGN.md §13): a TraceRing of `capacity`
@@ -440,10 +440,12 @@ class Experiment {
     return recorder_ == nullptr ? nullptr : &recorder_->ring();
   }
 
-  /// Folds every scattered counter family into one obs::Registry — wire
-  /// stats (sim metrics), network/transport totals, engine duplicate
-  /// counters, audit-channel delivery health, fault outcomes, ledger and
-  /// expulsion tallies. Absolute totals (idempotent re-fold, not deltas).
+  /// Folds every counter family into one obs::Registry: the node-level
+  /// counters summed over every incarnation (fold_node_counters, the same
+  /// names a wire NodeHost reports), then the simulator-only net.* totals
+  /// and the ledger, expulsion, handoff and churn tallies. Absolute totals
+  /// (idempotent re-fold, not deltas); the names are a function of the
+  /// config and of whether the recorder is armed.
   void collect_metrics(obs::Registry& out) const;
   [[nodiscard]] const sim::NetworkStats& network_stats() const {
     return network_->stats();
@@ -457,19 +459,11 @@ class Experiment {
   /// agent (reliable-UDP mode; all zero under the modeled-TCP default).
   [[nodiscard]] lifting::Agent::AuditChannelStats audit_channel_totals() const {
     lifting::Agent::AuditChannelStats totals;
-    const auto fold = [&totals](const std::vector<Node>& pool) {
-      for (const auto& node : pool) {
-        if (!node.agent) continue;
-        const auto t = node.agent->audit_channel_totals();
-        totals.sends += t.sends;
-        totals.retries += t.retries;
-        totals.give_ups += t.give_ups;
-        totals.acks_received += t.acks_received;
-        totals.dups_suppressed += t.dups_suppressed;
+    for (const auto* pool : {&nodes_, &retired_}) {
+      for (const auto& node : *pool) {
+        if (node.agent()) totals += node.agent()->audit_channel_totals();
       }
-    };
-    fold(nodes_);
-    fold(retired_);
+    }
     return totals;
   }
   [[nodiscard]] const BlameLedger& ledger() const noexcept { return ledger_; }
@@ -479,7 +473,7 @@ class Experiment {
   }
   [[nodiscard]] const std::vector<gossip::ChunkMeta>& emitted_chunks()
       const noexcept {
-    return source_->emitted();
+    return nodes_[0].source()->emitted();
   }
   [[nodiscard]] const std::vector<lifting::AuditReport>& audit_reports()
       const noexcept {
@@ -487,11 +481,6 @@ class Experiment {
   }
 
  private:
-  struct Node {
-    std::unique_ptr<lifting::Agent> agent;  // null when LiFTinG is disabled
-    std::unique_ptr<gossip::Engine> engine;
-  };
-
   void build();
   /// Clears every per-run state table (keeping capacity) so build() can
   /// repopulate a reused deployment — the shared core of the constructor
@@ -536,7 +525,6 @@ class Experiment {
   ScenarioConfig config_;
   Pcg32 rng_;
   sim::Simulator sim_;
-  sim::MetricsRegistry metrics_;
   membership::Directory directory_;
   /// RPS substrate; constructed only when membership.rps_partner_sampling
   /// is on (null = bit-identical legacy partner selection).
@@ -547,10 +535,9 @@ class Experiment {
   std::unique_ptr<net::SimTransport> transport_;
   std::unique_ptr<faults::FaultInjector> injector_;
   std::unique_ptr<gossip::Mailer> mailer_;
-  std::vector<Node> nodes_;
+  std::vector<NodeStack> nodes_;
   /// Flight recorder (enable_trace); null = disarmed, the inert default.
   std::unique_ptr<obs::Recorder> recorder_;
-  std::unique_ptr<gossip::StreamSource> source_;
   std::shared_ptr<lifting::ManagerAssignment> assignment_;
   lifting::Agent::Hooks hooks_;
 
@@ -582,7 +569,7 @@ class Experiment {
   /// must outlive any in-flight timer that still references them, so a
   /// rejoin moves them here instead of destroying them (same in-place
   /// retirement contract as plain departures, DESIGN.md §5/§7).
-  std::vector<Node> retired_;
+  std::vector<NodeStack> retired_;
   std::uint32_t next_join_id_ = 0;
 
   Duration score_sample_interval_ = Duration::zero();

@@ -23,7 +23,7 @@ NodeHost::NodeHost(const ScenarioConfig& config, NodeId self)
     : config_(config),
       self_(self),
       injector_(udp_, sim_, config.seed),
-      mailer_(injector_, &metrics_),
+      mailer_(injector_),
       directory_(config.nodes) {
   config_.validate();
   std::string why;
@@ -36,13 +36,7 @@ NodeHost::NodeHost(const ScenarioConfig& config, NodeId self)
 
   const bool bound =
       udp_.add_endpoint(self_, [this](NodeId from, gossip::Message msg) {
-        // Same routing split as Experiment::make_node: the leading variant
-        // alternatives are the gossip kinds, the rest is LiFTinG traffic.
-        if (msg.index() < gossip::kGossipKindCount) {
-          engine_->handle(from, msg);
-        } else if (agent_) {
-          agent_->handle(from, msg);
-        }
+        stack_.route(from, msg);
       });
   require(bound, "failed to bind a loopback UDP endpoint");
 
@@ -54,26 +48,12 @@ NodeHost::NodeHost(const ScenarioConfig& config, NodeId self)
   const auto behavior =
       freerider_ ? config_.freerider_behavior : gossip::BehaviorSpec::honest();
 
-  const std::uint32_t i = self_.value();
-  if (config_.lifting_enabled) {
-    assignment_ = std::make_shared<lifting::ManagerAssignment>(
-        config_.nodes, config_.lifting.managers, config_.seed);
-    agent_ = std::make_unique<lifting::Agent>(
-        sim_, mailer_, directory_, self_, config_.lifting, behavior,
-        derive_rng(config_.seed, 0xA00000000ULL + i), config_.seed, sim_.now(),
-        lifting::Agent::Hooks{}, assignment_);
-  }
-  auto params = config_.gossip;
-  params.emit_acks = config_.lifting_enabled;
-  engine_ = std::make_unique<gossip::Engine>(
-      sim_, mailer_, directory_, self_, params, behavior,
-      derive_rng(config_.seed, 0xB00000000ULL + i),
-      agent_ ? agent_.get() : nullptr);
-  engine_->reserve_stream_chunks(config_.stream.expected_chunks());
-  if (self_ == NodeId{0}) {
-    source_ = std::make_unique<gossip::StreamSource>(sim_, *engine_,
-                                                     config_.stream);
-  }
+  // The manager assignment is a pure function of (n, M, seed), like the
+  // roles: every process builds the table the simulator shares.
+  stack_ = NodeStack(sim_, mailer_, directory_, config_,
+                     std::make_shared<lifting::ManagerAssignment>(
+                         config_.nodes, config_.lifting.managers, config_.seed),
+                     lifting::Agent::Hooks{}, self_, /*epoch=*/1, behavior);
 }
 
 std::uint16_t NodeHost::port() const { return udp_.port_of(self_); }
@@ -82,8 +62,7 @@ void NodeHost::enable_trace(std::size_t capacity) {
   require(recorder_ == nullptr, "flight recorder already armed");
   recorder_ = std::make_unique<obs::Recorder>(sim_, capacity);
   injector_.set_trace(recorder_.get());
-  engine_->set_trace(recorder_.get());
-  if (agent_) agent_->set_trace(recorder_.get());
+  stack_.set_trace(recorder_.get());
 }
 
 void NodeHost::set_stat_hook(Duration interval, std::function<void()> hook) {
@@ -100,33 +79,20 @@ void NodeHost::stat_tick(TimePoint end) {
 }
 
 void NodeHost::collect_metrics(obs::Registry& out) const {
-  const auto& engine = engine_->stats();
-  out.set_counter("chunks_received", engine.chunks_received);
-  out.set_counter("chunks_emitted", chunks_emitted());
-  out.set_counter("duplicate_serves", engine.duplicate_serves);
-  out.set_counter("proposals_sent", engine.proposals_sent);
-  out.set_counter("requests_sent", engine.requests_sent);
-  out.set_counter("chunks_served", engine.chunks_served);
-  out.set_counter("invalid_requests", engine.invalid_requests);
-  out.set_counter("duplicate_requests", engine.duplicate_requests);
-  out.set_counter("messages_sent", udp_.messages_sent());
-  out.set_counter("decode_failures", udp_.decode_failures());
-  out.set_counter("socket_errors", udp_.socket_errors());
-  out.set_counter("send_failures", udp_.send_failures());
-  const auto& faults = injector_.stats();
-  out.set_counter("faults_dropped", faults.dropped());
-  out.set_counter("faults_duplicated", faults.duplicated);
-  out.set_counter("faults_delayed", faults.delayed + faults.reordered);
-  const auto audit = audit_channel_totals();
-  out.set_counter("audit_sends", audit.sends);
-  out.set_counter("audit_retries", audit.retries);
-  out.set_counter("audit_give_ups", audit.give_ups);
-  out.set_counter("audit_acks", audit.acks_received);
-  out.set_counter("audit_dups_suppressed", audit.dups_suppressed);
-  if (recorder_ != nullptr) {
-    out.set_counter("trace_recorded", recorder_->ring().total_recorded());
-    out.set_counter("trace_dropped", recorder_->ring().dropped());
-  }
+  const auto* agent = stack_.agent();
+  fold_node_counters({.sent = mailer_.tally(),
+                      .engine = engine_stats(),
+                      .chunks_emitted = chunks_emitted(),
+                      .faults = injector_.stats(),
+                      .audit_channel = agent != nullptr
+                                           ? agent->audit_channel_totals()
+                                           : lifting::Agent::AuditChannelStats{},
+                      .trace = trace_ring()},
+                     out);
+  out.set_counter("udp.messages_sent", udp_.messages_sent());
+  out.set_counter("udp.decode_failures", udp_.decode_failures());
+  out.set_counter("udp.socket_errors", udp_.socket_errors());
+  out.set_counter("udp.send_failures", udp_.send_failures());
 }
 
 void NodeHost::set_roster(const std::vector<std::uint16_t>& ports) {
@@ -152,9 +118,8 @@ void NodeHost::run() {
   const auto offset = Duration{static_cast<Duration::rep>(
       offset_rng.uniform() *
       static_cast<double>(config_.gossip.period.count()))};
-  engine_->start(offset);
-  if (agent_) agent_->start(offset);
-  if (source_) source_->start();
+  stack_.start(offset);
+  if (is_source()) stack_.source()->start();
 
   const TimePoint end = kSimEpoch + config_.duration;
   if (stat_hook_) {
@@ -179,9 +144,7 @@ void NodeHost::run() {
       // Wind down in Experiment::wind_down order; the stopped stacks keep
       // answering incoming traffic while the drain window runs.
       wound_down = true;
-      if (source_) source_->stop();
-      engine_->stop();
-      if (agent_) agent_->stop();
+      stack_.stop();
     }
     if (now >= drain_end) break;
     Duration nap = kMaxNap;

@@ -7,29 +7,24 @@
 #include <vector>
 
 #include "faults/injector.hpp"
-#include "gossip/engine.hpp"
 #include "gossip/mailer.hpp"
-#include "gossip/stream_source.hpp"
-#include "lifting/agent.hpp"
-#include "lifting/managers.hpp"
 #include "membership/directory.hpp"
 #include "net/udp_transport.hpp"
 #include "obs/trace.hpp"
+#include "runtime/node_stack.hpp"
 #include "runtime/scenario.hpp"
-#include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
 
-/// One node's full protocol stack over real UDP datagrams — the wire
-/// counterpart of Experiment::make_node. A NodeHost is what a lifting_node
-/// daemon process runs (and what in-process wire tests run on threads):
-/// Directory + ManagerAssignment + Mailer-over-UdpTransport + Engine +
-/// Agent (+ StreamSource on the source node), built from the same
-/// ScenarioConfig the simulator consumes.
+/// One node's full protocol stack over real UDP datagrams. A NodeHost is
+/// what a lifting_node daemon process runs (and what in-process wire tests
+/// run on threads): Directory + Mailer-over-UdpTransport + the same
+/// NodeStack (Engine + Agent, + StreamSource on the source node) the
+/// simulator builds per node, from the same ScenarioConfig.
 ///
 /// Determinism across processes: the manager assignment is a pure function
 /// of (n, M, seed), freerider roles come from the same role rng stream
-/// Experiment draws (Experiment::derive_freerider_ids), and each node's
-/// agent/engine rng streams use the same per-node stream constants — so N
+/// Experiment draws (Experiment::derive_freerider_ids), and NodeStack
+/// picks each node's agent/engine rng streams the same way — so N
 /// independent processes given identical configs agree on every piece of
 /// shared state without exchanging anything but the port roster.
 ///
@@ -68,32 +63,20 @@ class NodeHost {
   void run();
 
   [[nodiscard]] NodeId self() const noexcept { return self_; }
-  [[nodiscard]] bool is_source() const noexcept { return source_ != nullptr; }
+  [[nodiscard]] bool is_source() const noexcept {
+    return stack_.source() != nullptr;
+  }
   [[nodiscard]] bool is_freerider() const noexcept { return freerider_; }
   [[nodiscard]] const gossip::EngineStats& engine_stats() const noexcept {
-    return engine_->stats();
+    return stack_.engine().stats();
   }
   /// Chunks emitted by the stream source (0 on non-source nodes).
   [[nodiscard]] std::uint64_t chunks_emitted() const noexcept {
-    return source_ ? source_->emitted().size() : 0;
+    return is_source() ? stack_.source()->emitted().size() : 0;
   }
   [[nodiscard]] const net::UdpTransport& transport() const noexcept {
     return udp_;
   }
-  /// Local fault-injection outcomes (this node's sends only). The same
-  /// FaultPlan drives every process; each derives its own per-sender rng
-  /// stream, so no coordination is needed.
-  [[nodiscard]] const faults::FaultInjector::Stats& fault_stats() const {
-    return injector_.stats();
-  }
-  /// Audit-channel delivery health (reliable-UDP mode; zeros otherwise /
-  /// when LiFTinG is off).
-  [[nodiscard]] lifting::Agent::AuditChannelStats audit_channel_totals()
-      const {
-    return agent_ ? agent_->audit_channel_totals()
-                  : lifting::Agent::AuditChannelStats{};
-  }
-
   /// Arms the flight recorder over this process's stack — engine, agent
   /// and fault injector (DESIGN.md §13). Record timestamps are virtual
   /// time, which run() slaves to the wall clock, so the per-process dumps
@@ -112,10 +95,9 @@ class NodeHost {
   /// mid-run. Call before run().
   void set_stat_hook(Duration interval, std::function<void()> hook);
 
-  /// Folds every scattered counter family — engine, transport, faults,
-  /// audit channel, trace ring — into `out` as absolute totals
-  /// (idempotent re-fold; the wire counterpart of
-  /// Experiment::collect_metrics).
+  /// Folds this node's counters into `out` as absolute totals (idempotent
+  /// re-fold): fold_node_counters — the names Experiment::collect_metrics
+  /// reports too — then the wire-only udp.* transport counters.
   void collect_metrics(obs::Registry& out) const;
 
  private:
@@ -125,19 +107,17 @@ class NodeHost {
   bool freerider_ = false;
 
   sim::Simulator sim_;
-  sim::MetricsRegistry metrics_;
   net::UdpTransport udp_;
   /// Fault injector between Mailer and sockets — the SAME seam the
   /// simulator injects at, so one FaultPlan means one fault model on both
   /// backends. Held sends ride the sim event queue, which run() slaves to
-  /// the wall clock, so delay spikes happen in real time.
+  /// the wall clock, so delay spikes happen in real time. Each process
+  /// derives its own per-sender rng streams and counts its own sends, so
+  /// no coordination is needed.
   faults::FaultInjector injector_;
   gossip::Mailer mailer_;
   membership::Directory directory_;
-  std::shared_ptr<lifting::ManagerAssignment> assignment_;
-  std::unique_ptr<lifting::Agent> agent_;
-  std::unique_ptr<gossip::Engine> engine_;
-  std::unique_ptr<gossip::StreamSource> source_;
+  NodeStack stack_;
   std::unique_ptr<obs::Recorder> recorder_;
   Duration stat_interval_ = Duration::zero();
   std::function<void()> stat_hook_;

@@ -22,7 +22,10 @@ class GossipFixture {
  public:
   explicit GossipFixture(std::uint32_t n, GossipParams params = {},
                          sim::LinkProfile profile = perfect_link())
-      : directory_(n), network_(sim_, Pcg32{900}), mailer_(network_, nullptr) {
+      : directory_(n),
+        network_(sim_, Pcg32{900}),
+        transport_(network_),
+        mailer_(transport_) {
     params.emit_acks = false;
     for (std::uint32_t i = 0; i < n; ++i) {
       const NodeId id{i};
@@ -55,6 +58,7 @@ class GossipFixture {
   sim::Simulator sim_;
   membership::Directory directory_;
   sim::Network<Message> network_;
+  net::SimTransport transport_;
   Mailer mailer_;
   std::vector<std::unique_ptr<Engine>> engines_;
 };
@@ -153,7 +157,8 @@ TEST(Engine, InfectAndDieNeverReproposesAChunk) {
   sim::Simulator sim;
   membership::Directory dir(10);
   sim::Network<Message> net(sim, Pcg32{901});
-  Mailer mailer(net, nullptr);
+  net::SimTransport transport(net);
+  Mailer mailer(transport);
   Recorder recorder;
   GossipParams params;
   params.emit_acks = false;
@@ -188,7 +193,8 @@ TEST(Engine, ServesOnlyProposedAndRequestedChunks) {
   sim::Simulator sim;
   membership::Directory dir(2);
   sim::Network<Message> net(sim, Pcg32{902});
-  Mailer mailer(net, nullptr);
+  net::SimTransport transport(net);
+  Mailer mailer(transport);
   GossipParams params;
   params.emit_acks = false;
   Engine server(sim, mailer, dir, NodeId{0}, params, BehaviorSpec::honest(),
@@ -213,7 +219,8 @@ TEST(Engine, FanoutDecreaseAttackContactsFewerPartners) {
   sim::Simulator sim;
   membership::Directory dir(30);
   sim::Network<Message> net(sim, Pcg32{903});
-  Mailer mailer(net, nullptr);
+  net::SimTransport transport(net);
+  Mailer mailer(transport);
   GossipParams params;
   params.fanout = 8;
   params.emit_acks = false;
@@ -251,7 +258,8 @@ TEST(Engine, MitmRedirectsAcksAndClaimsCoalitionPartners) {
   sim::Simulator sim;
   membership::Directory dir(30);
   sim::Network<Message> net(sim, Pcg32{905});
-  Mailer mailer(net, nullptr);
+  net::SimTransport transport(net);
+  Mailer mailer(transport);
   GossipParams params;
   params.fanout = 4;
   BehaviorSpec mitm;
@@ -321,7 +329,8 @@ TEST(Engine, PartialProposeDropsServersButAcksClaimTheirChunks) {
   sim::Simulator sim;
   membership::Directory dir(10);
   sim::Network<Message> net(sim, Pcg32{906});
-  Mailer mailer(net, nullptr);
+  net::SimTransport transport(net);
+  Mailer mailer(transport);
   GossipParams params;
   params.fanout = 3;
   BehaviorSpec cheat;
@@ -355,23 +364,40 @@ TEST(Engine, PartialProposeDropsServersButAcksClaimTheirChunks) {
 TEST(Mailer, AccountsMessagesAndBytesByKind) {
   sim::Simulator sim;
   sim::Network<Message> net(sim, Pcg32{907});
-  sim::MetricsRegistry metrics;
-  Mailer mailer(net, &metrics);
+  net::SimTransport transport(net);
+  Mailer mailer(transport);
   sim::LinkProfile link;
   net.add_node(NodeId{0}, link, [](sim::Delivery<Message>) {});
   net.add_node(NodeId{1}, link, [](sim::Delivery<Message>) {});
   const Message propose{ProposeMsg{1, {ChunkId{1}, ChunkId{2}}}};
   mailer.send(NodeId{0}, NodeId{1}, sim::Channel::kDatagram, propose);
   mailer.send(NodeId{0}, NodeId{1}, sim::Channel::kDatagram, propose);
-  mailer.send(NodeId{0}, NodeId{1}, sim::Channel::kDatagram,
-              Message{BlameMsg{NodeId{5}, 2.0,
-                               BlameReason::kDirectVerification}});
-  EXPECT_EQ(metrics.value("sent.propose.count"), 2u);
-  EXPECT_EQ(metrics.value("sent.propose.bytes"), 2 * wire_size(propose));
-  EXPECT_EQ(metrics.value("sent.blame.count"), 1u);
-  EXPECT_EQ(metrics.value("sent.serve.count"), 0u);
-  EXPECT_TRUE(is_dissemination_kind("propose"));
-  EXPECT_FALSE(is_dissemination_kind("blame"));
+  const Message blame{
+      BlameMsg{NodeId{5}, 2.0, BlameReason::kDirectVerification}};
+  mailer.send(NodeId{0}, NodeId{1}, sim::Channel::kDatagram, blame);
+  const auto& tally = mailer.tally();
+  EXPECT_EQ(tally.of<ProposeMsg>().count, 2u);
+  EXPECT_EQ(tally.of<ProposeMsg>().bytes, 2 * wire_size(propose));
+  EXPECT_EQ(tally.of<BlameMsg>().count, 1u);
+  EXPECT_EQ(tally.of<ServeMsg>().count, 0u);
+  // Byte ranges follow variant order: propose..serve is dissemination.
+  EXPECT_EQ(tally.bytes(0, kind_index<AckMsg>()), 2 * wire_size(propose));
+  EXPECT_EQ(tally.bytes(0, SendTally::kKinds),
+            2 * wire_size(propose) + wire_size(blame));
+
+  // The snapshot names every kind, zeros included, in variant order.
+  const auto snap = tally.snapshot();
+  ASSERT_EQ(snap.size(), 2 * SendTally::kKinds);
+  EXPECT_EQ(snap[0].first, "sent.propose.count");
+  EXPECT_EQ(snap[0].second, 2u);
+  EXPECT_EQ(snap[1].first, "sent.propose.bytes");
+  EXPECT_EQ(snap[2 * kind_index<ServeMsg>()].first, "sent.serve.count");
+  EXPECT_EQ(snap[2 * kind_index<ServeMsg>()].second, 0u);
+  EXPECT_EQ(snap[2 * kind_index<BlameMsg>()].first, "sent.blame.count");
+  EXPECT_EQ(snap[2 * kind_index<BlameMsg>()].second, 1u);
+
+  mailer.reset_tally();
+  EXPECT_EQ(mailer.tally().bytes(0, SendTally::kKinds), 0u);
 }
 
 TEST(Playback, HealthCurveDetectsLaggards) {
@@ -407,7 +433,8 @@ TEST(StreamSource, EmitsAtConfiguredRate) {
   sim::Simulator sim;
   membership::Directory dir(2);
   sim::Network<Message> net(sim, Pcg32{904});
-  Mailer mailer(net, nullptr);
+  net::SimTransport transport(net);
+  Mailer mailer(transport);
   GossipParams params;
   params.emit_acks = false;
   Engine engine(sim, mailer, dir, NodeId{0}, params, BehaviorSpec::honest(),

@@ -19,7 +19,8 @@ struct AgentFixture {
   explicit AgentFixture(std::uint32_t n, LiftingParams params = defaults(),
                         double loss = 0.0)
       : params_(params), directory(n), network(sim, Pcg32{500}),
-        mailer(network, nullptr) {
+        transport(network),
+        mailer(transport) {
     hooks.on_blame_emitted = [this](NodeId by, NodeId target, double value,
                                     gossip::BlameReason reason) {
       emitted.push_back({by, target, value, reason});
@@ -87,6 +88,7 @@ struct AgentFixture {
   sim::Simulator sim;
   membership::Directory directory;
   sim::Network<gossip::Message> network;
+  net::SimTransport transport;
   gossip::Mailer mailer;
   Agent::Hooks hooks;
   std::vector<std::unique_ptr<Agent>> agents;

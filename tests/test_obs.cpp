@@ -82,36 +82,19 @@ TEST(Registry, SlotsAreStableAndOrdered) {
   auto& hits = reg.counter("hits");
   hits += 2;
   reg.gauge("load") = 0.5;
-  reg.histogram("sizes").observe(10.0);
+  reg.set_counter("drops", 7);
   reg.counter("hits") += 1;  // same slot on re-lookup
   EXPECT_EQ(&reg.counter("hits"), &hits);
+  reg.set_counter("drops", 9);  // an absolute re-fold keeps the slot
 
   ASSERT_EQ(reg.size(), 3u);
   EXPECT_EQ(reg.entries()[0].name, "hits");
   EXPECT_EQ(reg.entries()[0].counter, 3u);
   EXPECT_EQ(reg.entries()[1].name, "load");
+  EXPECT_EQ(reg.entries()[1].kind, obs::Registry::Kind::kGauge);
   EXPECT_DOUBLE_EQ(reg.entries()[1].gauge, 0.5);
-  EXPECT_EQ(reg.entries()[2].name, "sizes");
-  EXPECT_EQ(reg.entries()[2].histogram.count, 1u);
-
-  reg.reset_values();
-  EXPECT_EQ(reg.size(), 3u);  // names and order survive
-  EXPECT_EQ(reg.entries()[0].counter, 0u);
-  EXPECT_EQ(reg.entries()[2].histogram.count, 0u);
-}
-
-TEST(Registry, HistogramBucketsAreLog2) {
-  obs::Histogram h;
-  h.observe(0.5);   // bucket 0: [0, 1)
-  h.observe(1.0);   // bucket 1: [1, 2)
-  h.observe(3.0);   // bucket 2: [2, 4)
-  h.observe(100.0); // bucket 7: [64, 128)
-  EXPECT_EQ(h.count, 4u);
-  EXPECT_DOUBLE_EQ(h.mean(), (0.5 + 1.0 + 3.0 + 100.0) / 4.0);
-  EXPECT_EQ(h.buckets[0], 1u);
-  EXPECT_EQ(h.buckets[1], 1u);
-  EXPECT_EQ(h.buckets[2], 1u);
-  EXPECT_EQ(h.buckets[7], 1u);
+  EXPECT_EQ(reg.entries()[2].name, "drops");
+  EXPECT_EQ(reg.entries()[2].counter, 9u);
 }
 
 // ------------------------------------------------------------ Exporters

@@ -1,14 +1,37 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/registry.hpp"
+#include "runtime/experiment.hpp"
 #include "runtime/node_host.hpp"
 #include "runtime/wire_scenario.hpp"
 
 namespace lifting::runtime {
 namespace {
+
+/// Key families both backends report under one vocabulary (DESIGN.md §13).
+bool is_shared_key(const std::string& key) {
+  for (const char* prefix : {"sent.", "engine.", "stream.", "faults.",
+                             "audit_channel.", "trace."}) {
+    if (key.rfind(prefix, 0) == 0) return true;
+  }
+  return false;
+}
+
+std::set<std::string> shared_keys(const std::map<std::string,
+                                                 std::uint64_t>& totals) {
+  std::set<std::string> keys;
+  for (const auto& [key, value] : totals) {
+    if (is_shared_key(key)) keys.insert(key);
+  }
+  return keys;
+}
 
 /// In-process wire deployment: one NodeHost (the lifting_node daemon's
 /// stack) per thread, real UDP datagrams between them — the multi-process
@@ -68,6 +91,38 @@ TEST(WireDeploy, LoopbackStreamReachesEveryNode) {
           << "node " << i << " kind " << k;
     }
   }
+
+  // One metric vocabulary: every host's fold, summed by name, names the
+  // same node-level counters as a simulator run of the same config; the
+  // only other wire keys are the udp.* transport counters.
+  std::map<std::string, std::uint64_t> wire;
+  for (const auto& host : hosts) {
+    obs::Registry reg;
+    host->collect_metrics(reg);
+    for (const auto& e : reg.entries()) wire[e.name] += e.counter;
+  }
+  for (const auto& [key, value] : wire) {
+    EXPECT_TRUE(is_shared_key(key) || key.rfind("udp.", 0) == 0) << key;
+  }
+  Experiment sim(config);
+  sim.run();
+  obs::Registry sim_reg;
+  sim.collect_metrics(sim_reg);
+  std::map<std::string, std::uint64_t> simulated;
+  for (const auto& e : sim_reg.entries()) simulated[e.name] = e.counter;
+  EXPECT_EQ(shared_keys(wire), shared_keys(simulated));
+
+  // The Mailer's tally is now reported on the wire, and with no fault plan
+  // every tallied send reaches the socket.
+  std::uint64_t tallied = 0;
+  for (const auto& [key, value] : wire) {
+    if (key.rfind("sent.", 0) == 0 && key.ends_with(".count")) {
+      tallied += value;
+    }
+  }
+  EXPECT_GT(tallied, 0u);
+  EXPECT_EQ(tallied, wire["udp.messages_sent"]);
+  EXPECT_EQ(wire["stream.chunks_emitted"], emitted);
 }
 
 /// Roles and derived state agree across independently-built hosts: the

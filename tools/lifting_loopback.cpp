@@ -21,7 +21,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -37,6 +37,9 @@ namespace {
 using namespace lifting;
 
 constexpr std::size_t kKinds = std::variant_size_v<gossip::Message>;
+
+/// STAT counters by key (DESIGN.md §13 vocabulary).
+using Stats = std::map<std::string, std::uint64_t>;
 
 struct Options {
   std::uint32_t nodes = 16;
@@ -69,25 +72,33 @@ struct Child {
   FILE* in = nullptr;   // launcher -> daemon stdin
   FILE* out = nullptr;  // daemon stdout -> launcher
   std::uint16_t port = 0;
-  // Parsed report:
-  std::uint64_t chunks_received = 0;
-  std::uint64_t chunks_emitted = 0;
-  std::uint64_t decode_failures = 0;
-  std::uint64_t socket_errors = 0;
-  std::uint64_t send_failures = 0;
+  // Parsed report: every STAT key (the last snapshot wins) and the
+  // per-kind KIND lines.
+  Stats stats;
   std::uint64_t kind_count[kKinds] = {};
   std::uint64_t kind_modeled[kKinds] = {};
   std::uint64_t kind_wire[kKinds] = {};
-  std::uint64_t faults_dropped = 0;
-  std::uint64_t faults_duplicated = 0;
-  std::uint64_t faults_delayed = 0;
-  std::uint64_t audit_sends = 0;
-  std::uint64_t audit_retries = 0;
-  std::uint64_t audit_give_ups = 0;
-  std::uint64_t audit_acks = 0;
-  std::uint64_t audit_dups = 0;
   bool done = false;
 };
+
+/// A STAT key's value, 0 when the daemon never reported it.
+std::uint64_t stat(const Stats& stats, const std::string& key) {
+  const auto it = stats.find(key);
+  return it == stats.end() ? 0 : it->second;
+}
+
+/// Prints every counter of one key family (`<family>.<name>`) on one line.
+void print_family(const Stats& stats, const std::string& family) {
+  std::printf("%s:", family.c_str());
+  const std::string prefix = family + ".";
+  for (auto it = stats.lower_bound(prefix);
+       it != stats.end() && it->first.compare(0, prefix.size(), prefix) == 0;
+       ++it) {
+    std::printf(" %s %llu", it->first.c_str() + prefix.size(),
+                static_cast<unsigned long long>(it->second));
+  }
+  std::printf("\n");
+}
 
 // Timeout handler state: fixed-size plain arrays, mutated only between
 // alarm() arm/disarm points from the main flow, read by the handler —
@@ -277,21 +288,7 @@ bool read_report(Child& child, bool verbose) {
     unsigned long long a = 0, b = 0, c = 0;
     if (std::sscanf(line.c_str(), "STAT %63s %llu", key, &a) == 2) {
       if (verbose) std::printf("  node %d: %s\n", child.pid, line.c_str());
-      if (std::strcmp(key, "chunks_received") == 0) child.chunks_received = a;
-      if (std::strcmp(key, "chunks_emitted") == 0) child.chunks_emitted = a;
-      if (std::strcmp(key, "decode_failures") == 0) child.decode_failures = a;
-      if (std::strcmp(key, "socket_errors") == 0) child.socket_errors = a;
-      if (std::strcmp(key, "send_failures") == 0) child.send_failures = a;
-      if (std::strcmp(key, "faults_dropped") == 0) child.faults_dropped = a;
-      if (std::strcmp(key, "faults_duplicated") == 0) {
-        child.faults_duplicated = a;
-      }
-      if (std::strcmp(key, "faults_delayed") == 0) child.faults_delayed = a;
-      if (std::strcmp(key, "audit_sends") == 0) child.audit_sends = a;
-      if (std::strcmp(key, "audit_retries") == 0) child.audit_retries = a;
-      if (std::strcmp(key, "audit_give_ups") == 0) child.audit_give_ups = a;
-      if (std::strcmp(key, "audit_acks") == 0) child.audit_acks = a;
-      if (std::strcmp(key, "audit_dups_suppressed") == 0) child.audit_dups = a;
+      child.stats[key] = a;
       continue;
     }
     if (std::sscanf(line.c_str(), "KIND %63s %llu %llu %llu", key, &a, &b,
@@ -488,34 +485,23 @@ int main(int argc, char** argv) {
   std::uint64_t kind_count[kKinds] = {};
   std::uint64_t kind_modeled[kKinds] = {};
   std::uint64_t kind_wire[kKinds] = {};
-  std::uint64_t decode_failures = 0, socket_errors = 0, send_failures = 0;
-  std::uint64_t faults_dropped = 0, faults_duplicated = 0, faults_delayed = 0;
-  std::uint64_t audit_sends = 0, audit_retries = 0, audit_give_ups = 0;
-  std::uint64_t audit_acks = 0, audit_dups = 0;
-  const std::uint64_t emitted = children[0].chunks_emitted;
+  Stats totals;  // every STAT key, summed over the nodes
+  const std::uint64_t emitted =
+      stat(children[0].stats, "stream.chunks_emitted");
   double min_health = 1.0;
   std::uint32_t min_health_node = 0;
   for (std::uint32_t i = 0; i < config.nodes; ++i) {
     const auto& child = children[i];
-    decode_failures += child.decode_failures;
-    socket_errors += child.socket_errors;
-    send_failures += child.send_failures;
-    faults_dropped += child.faults_dropped;
-    faults_duplicated += child.faults_duplicated;
-    faults_delayed += child.faults_delayed;
-    audit_sends += child.audit_sends;
-    audit_retries += child.audit_retries;
-    audit_give_ups += child.audit_give_ups;
-    audit_acks += child.audit_acks;
-    audit_dups += child.audit_dups;
+    for (const auto& [key, value] : child.stats) totals[key] += value;
     for (std::size_t k = 0; k < kKinds; ++k) {
       kind_count[k] += child.kind_count[k];
       kind_modeled[k] += child.kind_modeled[k];
       kind_wire[k] += child.kind_wire[k];
     }
     if (i > 0 && emitted > 0) {
-      const double health = static_cast<double>(child.chunks_received) /
-                            static_cast<double>(emitted);
+      const double health =
+          static_cast<double>(stat(child.stats, "engine.chunks_received")) /
+          static_cast<double>(emitted);
       if (health < min_health) {
         min_health = health;
         min_health_node = i;
@@ -592,30 +578,12 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(diss_model),
       static_cast<unsigned long long>(diss_wire), ratio_model, ratio_wire,
       static_cast<unsigned long long>(audit_wire));
-  std::printf(
-      "stream: %llu chunks emitted, min delivery %.3f (node %u); "
-      "decode failures %llu, socket errors %llu, send failures %llu\n",
-      static_cast<unsigned long long>(emitted), min_health, min_health_node,
-      static_cast<unsigned long long>(decode_failures),
-      static_cast<unsigned long long>(socket_errors),
-      static_cast<unsigned long long>(send_failures));
-  if (faulty) {
-    std::printf(
-        "faults: dropped %llu, duplicated %llu, delayed %llu datagrams\n",
-        static_cast<unsigned long long>(faults_dropped),
-        static_cast<unsigned long long>(faults_duplicated),
-        static_cast<unsigned long long>(faults_delayed));
-  }
-  if (opt.audit_reliable) {
-    std::printf(
-        "audit channel: %llu sends, %llu retries, %llu give-ups, "
-        "%llu acks, %llu dups suppressed\n",
-        static_cast<unsigned long long>(audit_sends),
-        static_cast<unsigned long long>(audit_retries),
-        static_cast<unsigned long long>(audit_give_ups),
-        static_cast<unsigned long long>(audit_acks),
-        static_cast<unsigned long long>(audit_dups));
-  }
+  std::printf("stream: %llu chunks emitted, min delivery %.3f (node %u)\n",
+              static_cast<unsigned long long>(emitted), min_health,
+              min_health_node);
+  print_family(totals, "udp");
+  if (faulty) print_family(totals, "faults");
+  if (opt.audit_reliable) print_family(totals, "audit_channel");
 
   // ---- acceptance checks. With a fault plan active the health and ratio
   // bounds become report-only (a degraded-but-reported run is the point of
@@ -632,7 +600,9 @@ int main(int argc, char** argv) {
                  min_health_node);
     if (!faulty) ok = false;
   }
-  if (decode_failures != 0 || socket_errors != 0 || send_failures != 0) {
+  if (stat(totals, "udp.decode_failures") != 0 ||
+      stat(totals, "udp.socket_errors") != 0 ||
+      stat(totals, "udp.send_failures") != 0) {
     std::fprintf(stderr, "FAIL: transport errors on a clean loopback run\n");
     ok = false;
   }

@@ -16,7 +16,11 @@
 //                        "KIND <name> <count> <modeled> <wire>" lines,
 //                        "DONE"
 //
-// STAT keys repeat across the periodic snapshots; consumers take the last
+// STAT keys are the node-level vocabulary the simulator reports too
+// (DESIGN.md §13): sent.<kind>.count / sent.<kind>.bytes for every message
+// kind, engine.*, stream.chunks_emitted, faults.*, audit_channel.*,
+// trace.* (when armed), plus the wire-only udp.* transport counters. Keys
+// repeat across the periodic snapshots; consumers take the last
 // occurrence (the launcher's parser assigns, so re-reads are idempotent).
 // The optional TRACE line arms the flight recorder (DESIGN.md §13); the
 // binary dump is written right before DONE and merged across processes by
