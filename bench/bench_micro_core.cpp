@@ -1,6 +1,7 @@
 /// Micro-benchmarks of the substrate hot paths (google-benchmark):
 /// event queue throughput, entropy computation, RNG sampling, the blame
-/// sampler, and message size computation.
+/// sampler, message size computation, and the witness log behind every
+/// received proposal and confirm request.
 ///
 /// The JSON context carries `lifting_build_type` — the build type of THIS
 /// binary (google-benchmark's own `library_build_type` describes the
@@ -9,12 +10,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "analysis/sampler.hpp"
 #include "common/build_info.hpp"
 #include "common/rng.hpp"
 #include "gossip/message.hpp"
+#include "lifting/history.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "stats/entropy.hpp"
@@ -108,6 +112,104 @@ void BM_WireSizePropose(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WireSizePropose);
+
+// ---- ReceivedProposalLog at a full retention window: the planetlab shape
+// (Tg = 500 ms, f = 7, ~28 chunks per proposal, 25 s window) holds 50
+// periods x 7 proposers = 350 entries.
+
+constexpr int kWindowPeriods = 50;
+constexpr std::uint32_t kProposersPerPeriod = 7;
+constexpr std::uint32_t kChunksPerProposal = 28;
+constexpr auto kPeriod = milliseconds(500);
+
+/// The proposers of `period`: 7 distinct ids out of 1000, fixed per period.
+NodeId window_proposer(PeriodIndex period, std::uint32_t k) {
+  return NodeId{(period * 131 + k * 37) % 1000};
+}
+
+/// Proposal `k` of `period`: 28 consecutive stream chunks, staggered per
+/// proposer the way overlapping gossip proposals are.
+gossip::ChunkIdList window_chunks(PeriodIndex period, std::uint32_t k) {
+  gossip::ChunkIdList out;
+  const std::uint32_t first = period * 20 + k * 3;
+  for (std::uint32_t c = 0; c < kChunksPerProposal; ++c) {
+    out.push_back(ChunkId{first + c});
+  }
+  return out;
+}
+
+/// Records one period's proposals, then prunes to the window — the work
+/// Agent::on_propose_received and Agent::tick do per period.
+void record_period(ReceivedProposalLog& log, PeriodIndex period) {
+  const TimePoint now = kSimEpoch + period * kPeriod;
+  for (std::uint32_t k = 0; k < kProposersPerPeriod; ++k) {
+    log.record(now, window_proposer(period, k), period,
+               window_chunks(period, k));
+  }
+  log.prune(now - std::min(now.time_since_epoch(), kWindowPeriods * kPeriod));
+}
+
+/// A log filled to the window, ending at period `*last`.
+ReceivedProposalLog full_window_log(PeriodIndex* last) {
+  ReceivedProposalLog log;
+  PeriodIndex p = 0;
+  for (; p < 3 * kWindowPeriods; ++p) record_period(log, p);
+  *last = p - 1;
+  return log;
+}
+
+void BM_ReceivedLogRecord(benchmark::State& state) {
+  PeriodIndex p = 0;
+  auto log = full_window_log(&p);
+  for (auto _ : state) {
+    record_period(log, ++p);
+    benchmark::DoNotOptimize(log.size());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kProposersPerPeriod);
+}
+BENCHMARK(BM_ReceivedLogRecord);
+
+/// The duplicate guard on a fresh proposal: a miss scans the whole window.
+void BM_ReceivedLogHas(benchmark::State& state) {
+  PeriodIndex last = 0;
+  const auto log = full_window_log(&last);
+  std::uint32_t k = 0;
+  for (auto _ : state) {
+    k = (k + 1) % kProposersPerPeriod;
+    benchmark::DoNotOptimize(log.has(window_proposer(last + 1, k), last + 1));
+  }
+}
+BENCHMARK(BM_ReceivedLogHas);
+
+/// A witness answering for 4 requested chunks of a proposal. Arg 0: a
+/// confirm request for one of the last 3 periods' proposals, bounded by
+/// the confirm window (a hit). Arg 1: a history-poll claim the witness
+/// never received, searched over the whole log (a denial, the worst case).
+void BM_ReceivedLogConfirms(benchmark::State& state) {
+  PeriodIndex last = 0;
+  const auto log = full_window_log(&last);
+  const bool deny = state.range(0) == 1;
+  const TimePoint now = kSimEpoch + last * kPeriod;
+  const TimePoint since = deny ? kSimEpoch : now - 3 * kPeriod;
+  std::vector<std::pair<NodeId, gossip::ChunkIdList>> queries;
+  for (std::uint32_t i = 0; i < 21; ++i) {
+    const PeriodIndex period = last - i % 3;
+    const std::uint32_t k = i % kProposersPerPeriod;
+    const auto proposal = window_chunks(period, k);
+    gossip::ChunkIdList asked{proposal[27], proposal[9], proposal[18],
+                              proposal[3]};
+    if (deny) asked.push_back(ChunkId{1u << 30});
+    queries.emplace_back(window_proposer(period, k), asked);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [subject, asked] = queries[i];
+    benchmark::DoNotOptimize(log.confirms(subject, asked, since));
+    i = i + 1 == queries.size() ? 0 : i + 1;
+  }
+}
+BENCHMARK(BM_ReceivedLogConfirms)->Arg(0)->Arg(1);
 
 }  // namespace
 

@@ -1,7 +1,9 @@
 #ifndef LIFTING_COMMON_RING_LOG_HPP
 #define LIFTING_COMMON_RING_LOG_HPP
 
+#include <algorithm>
 #include <cstddef>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -20,6 +22,11 @@
 /// buffers stay allocated until the same slot is reused by a later
 /// push_slot(). Once the ring has grown to the window's high-water entry
 /// count, a steady-state run performs zero allocations here.
+///
+/// A ring of plain ids doubles as a packed payload store: append() pushes
+/// a whole run (one record's chunk ids) and pop_front(n) drops one, so a
+/// log of fixed-width keys plus one such ring holds variable-length
+/// records back to back, with no per-record inline capacity to pay for.
 ///
 /// Contract for slot reuse: refill payload containers with `.assign()` /
 /// `.clear()` + `push_back`, never `operator=` — SmallVector's assignment
@@ -57,22 +64,51 @@ class RingLog {
   [[nodiscard]] T& back() noexcept { return (*this)[size_ - 1]; }
   [[nodiscard]] const T& back() const noexcept { return (*this)[size_ - 1]; }
 
+  /// Entries [i, i + n) as at most two contiguous pieces, oldest first:
+  /// the run up to the buffer's physical end, then the wrapped remainder
+  /// (empty when the run does not wrap). For scans that should not pay an
+  /// index wrap and bounds check per entry.
+  [[nodiscard]] std::pair<std::span<const T>, std::span<const T>> segments(
+      std::size_t i, std::size_t n) const noexcept {
+    LIFTING_ASSERT(i + n <= size_, "RingLog segment out of range");
+    const std::size_t start = wrap(head_ + i);
+    const std::size_t first = std::min(n, buf_.size() - start);
+    return {std::span<const T>(buf_.data() + start, first),
+            std::span<const T>(buf_.data(), n - first)};
+  }
+
   /// Appends an entry and returns the (recycled) slot for the caller to
   /// fill. The slot holds whatever a previously pruned entry left behind —
   /// callers overwrite every field they read back.
   [[nodiscard]] T& push_slot() {
-    if (size_ == buf_.size()) grow();
+    if (size_ == buf_.size()) grow(size_ + 1);
     T& slot = buf_[wrap(head_ + size_)];
     ++size_;
     return slot;
   }
 
+  /// Appends a run of entries in order — one capacity check and at most
+  /// two contiguous copies, however the run straddles the buffer's end.
+  /// For the packed payload rings of the history logs, whose entries are
+  /// plain ids. The source must not alias this ring.
+  void append(const T* first, std::size_t n) {
+    if (size_ + n > buf_.size()) grow(size_ + n);
+    const std::size_t tail = wrap(head_ + size_);
+    const std::size_t before_end = std::min(n, buf_.size() - tail);
+    std::copy(first, first + before_end, buf_.begin() + tail);
+    std::copy(first + before_end, first + n, buf_.begin());
+    size_ += n;
+  }
+
   /// Drops the oldest entry without destroying the slot (its payload
   /// capacity is recycled by a future push_slot()).
-  void pop_front() noexcept {
-    LIFTING_ASSERT(size_ > 0, "pop_front on empty RingLog");
-    head_ = wrap(head_ + 1);
-    --size_;
+  void pop_front() noexcept { pop_front(1); }
+
+  /// Drops the `n` oldest entries at once.
+  void pop_front(std::size_t n) noexcept {
+    LIFTING_ASSERT(n <= size_, "pop_front past the end of a RingLog");
+    head_ = wrap(head_ + n);
+    size_ -= n;
   }
 
   /// Forgets the live entries; slots (and their payload capacity) remain.
@@ -86,8 +122,10 @@ class RingLog {
     return i < buf_.size() ? i : i - buf_.size();
   }
 
-  void grow() {
-    const std::size_t new_cap = buf_.empty() ? 8 : buf_.size() * 2;
+  /// Doubles (from 8) until `needed` entries fit.
+  void grow(std::size_t needed) {
+    std::size_t new_cap = buf_.empty() ? 8 : buf_.size() * 2;
+    while (new_cap < needed) new_cap *= 2;
     RecycledVector<T> next;
     next.reserve(new_cap);
     for (std::size_t i = 0; i < size_; ++i) {

@@ -2,10 +2,10 @@
 #define LIFTING_LIFTING_HISTORY_HPP
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/ring_log.hpp"
-#include "common/small_vector.hpp"
 #include "common/time.hpp"
 #include "common/types.hpp"
 #include "gossip/message.hpp"
@@ -22,12 +22,16 @@
 ///  * ConfirmAskerLog — who asked this node to confirm whose proposals;
 ///    polled by auditors to reconstruct F'_h (§5.3).
 ///
-/// Storage is a flat RingLog per log (entries period/time-ordered, oldest
-/// at the front): the window only ever evicts from the front and appends at
-/// the back, and ring slots recycle their SmallVector payload capacity, so
-/// a steady-state node records its whole history without heap allocation.
-/// These deques were the last per-element allocators of a warm planetlab
-/// run — see DESIGN.md §9.
+/// Storage is flat rings (entries period/time-ordered, oldest at the
+/// front): the window only ever evicts from the front and appends at the
+/// back. The two proposal logs keep one fixed-width key per record in a
+/// RingLog and the record's variable-length ids back to back in a packed
+/// RingLog of ids (chunks; partners for the sent log). A key carries its
+/// run lengths, so pruning pops a key together with its runs, and a
+/// backwards walk over the keys tracks where each record's runs start. A
+/// record costs its 24-B key plus 4 B per id, and once the rings reach the
+/// window's high-water size a steady-state node records its whole history
+/// without heap allocation. See DESIGN.md §9.
 
 namespace lifting {
 
@@ -36,59 +40,69 @@ class SentProposalHistory {
   void record(TimePoint at, PeriodIndex period,
               const std::vector<NodeId>& partners,
               const gossip::ChunkIdList& chunks) {
-    Entry& e = entries_.push_slot();
-    e.at = at;
-    e.period = period;
-    e.partners.assign(partners.begin(), partners.end());
-    e.chunks.assign(chunks.begin(), chunks.end());
+    keys_.push_slot() = Key{at, period,
+                            static_cast<std::uint32_t>(partners.size()),
+                            static_cast<std::uint32_t>(chunks.size())};
+    partners_.append(partners.data(), partners.size());
+    chunks_.append(chunks.data(), chunks.size());
   }
 
   void prune(TimePoint cutoff) {
-    while (!entries_.empty() && entries_.front().at < cutoff) {
-      entries_.pop_front();
+    while (!keys_.empty() && keys_.front().at < cutoff) {
+      partners_.pop_front(keys_.front().n_partners);
+      chunks_.pop_front(keys_.front().n_chunks);
+      keys_.pop_front();
     }
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return keys_.size(); }
 
   /// The audit-visible records, oldest first. Materializes fresh vectors —
   /// this is the audit-reply path, not a steady-state one.
   [[nodiscard]] std::vector<gossip::HistoryProposalRecord> snapshot() const {
     std::vector<gossip::HistoryProposalRecord> out;
-    out.reserve(entries_.size());
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      const Entry& e = entries_[i];
-      out.push_back(gossip::HistoryProposalRecord{
-          e.period, std::vector<NodeId>(e.partners.begin(), e.partners.end()),
-          e.chunks});
+    out.reserve(keys_.size());
+    std::size_t p = 0;  // next unread id of each payload ring
+    std::size_t c = 0;
+    for (std::size_t i = 0; i < keys_.size(); ++i) {
+      const Key& k = keys_[i];
+      auto& rec = out.emplace_back();
+      rec.period = k.period;
+      for (std::uint32_t j = 0; j < k.n_partners; ++j) {
+        rec.partners.push_back(partners_[p++]);
+      }
+      for (std::uint32_t j = 0; j < k.n_chunks; ++j) {
+        rec.chunks.push_back(chunks_[c++]);
+      }
     }
     return out;
   }
 
  private:
-  struct Entry {
+  struct Key {
     TimePoint at{};
     PeriodIndex period = 0;
-    SmallVector<NodeId, 8> partners;  // |partners| = fanout (7 on planetlab)
-    gossip::ChunkIdList chunks;
+    std::uint32_t n_partners = 0;  // this record's run in partners_
+    std::uint32_t n_chunks = 0;    // this record's run in chunks_
   };
-  RingLog<Entry> entries_;
+  RingLog<Key> keys_;
+  RingLog<NodeId> partners_;
+  RingLog<ChunkId> chunks_;
 };
 
 class ReceivedProposalLog {
  public:
   void record(TimePoint at, NodeId from, PeriodIndex period,
               const gossip::ChunkIdList& chunks) {
-    Entry& e = entries_.push_slot();
-    e.at = at;
-    e.from = from;
-    e.period = period;
-    e.chunks.assign(chunks.begin(), chunks.end());
+    keys_.push_slot() =
+        Key{at, from, period, static_cast<std::uint32_t>(chunks.size())};
+    chunks_.append(chunks.data(), chunks.size());
   }
 
   void prune(TimePoint cutoff) {
-    while (!entries_.empty() && entries_.front().at < cutoff) {
-      entries_.pop_front();
+    while (!keys_.empty() && keys_.front().at < cutoff) {
+      chunks_.pop_front(keys_.front().n_chunks);
+      keys_.pop_front();
     }
   }
 
@@ -97,11 +111,12 @@ class ReceivedProposalLog {
   /// and must not be re-recorded (the duplicate-delivery idempotence
   /// contract, tests/test_faults.cpp).
   [[nodiscard]] bool has(NodeId from, PeriodIndex period) const {
-    for (std::size_t i = entries_.size(); i-- > 0;) {
-      const Entry& e = entries_[i];
-      if (e.from == from && e.period == period) return true;
-    }
-    return false;
+    const auto keys = keys_.segments(0, keys_.size());
+    const auto same = [&](const Key& k) {
+      return k.from == from && k.period == period;
+    };
+    return std::any_of(keys.second.rbegin(), keys.second.rend(), same) ||
+           std::any_of(keys.first.rbegin(), keys.first.rend(), same);
   }
 
   /// Does the log contain a proposal from `subject` (not older than
@@ -110,33 +125,45 @@ class ReceivedProposalLog {
   [[nodiscard]] bool confirms(NodeId subject,
                               const gossip::ChunkIdList& chunks,
                               TimePoint since) const {
-    for (std::size_t i = entries_.size(); i-- > 0;) {
-      const Entry& e = entries_[i];
-      if (e.at < since) break;  // entries are time-ordered
-      if (e.from != subject) continue;
-      bool all = true;
-      for (const auto c : chunks) {
-        if (std::find(e.chunks.begin(), e.chunks.end(), c) ==
-            e.chunks.end()) {
-          all = false;
-          break;
+    std::size_t end = chunks_.size();  // one past the current record's run
+    const auto keys = keys_.segments(0, keys_.size());
+    for (const auto piece : {keys.second, keys.first}) {  // newest first
+      for (auto k = piece.rbegin(); k != piece.rend(); ++k) {
+        if (k->at < since) return false;  // entries are time-ordered
+        const std::size_t begin = end - k->n_chunks;
+        if (k->from == subject && contains_all(begin, end, chunks)) {
+          return true;
         }
+        end = begin;
       }
-      if (all) return true;
     }
     return false;
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return keys_.size(); }
 
  private:
-  struct Entry {
+  struct Key {
     TimePoint at{};
     NodeId from{};
     PeriodIndex period = 0;
-    gossip::ChunkIdList chunks;
+    std::uint32_t n_chunks = 0;  // this record's run in chunks_
   };
-  RingLog<Entry> entries_;
+
+  /// Is every id of `wanted` in the run chunks_[begin, end)?
+  [[nodiscard]] bool contains_all(std::size_t begin, std::size_t end,
+                                  const gossip::ChunkIdList& wanted) const {
+    const auto run = chunks_.segments(begin, end - begin);
+    return std::all_of(wanted.begin(), wanted.end(), [&](ChunkId c) {
+      return std::find(run.first.begin(), run.first.end(), c) !=
+                 run.first.end() ||
+             std::find(run.second.begin(), run.second.end(), c) !=
+                 run.second.end();
+    });
+  }
+
+  RingLog<Key> keys_;
+  RingLog<ChunkId> chunks_;
 };
 
 class ConfirmAskerLog {

@@ -1,6 +1,7 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <ostream>
 
@@ -62,11 +63,30 @@ bool read_binary_dump(const std::string& path, std::vector<TraceRecord>& out,
   DumpHeader header;
   bool ok = std::fread(&header, sizeof(header), 1, f) == 1 &&
             header.magic == kDumpMagic && header.version == kDumpVersion;
+  // The header's count is untrusted: it must describe exactly the bytes
+  // that follow the header before anything is sized from it. (Compare by
+  // division: count * sizeof(TraceRecord) can wrap.)
+  if (ok) {
+    const long body_start = std::ftell(f);
+    const long file_end = std::fseek(f, 0, SEEK_END) == 0 ? std::ftell(f) : -1;
+    ok = body_start >= 0 && file_end >= body_start &&
+         std::fseek(f, body_start, SEEK_SET) == 0;
+    if (ok) {
+      const auto body = static_cast<std::uint64_t>(file_end - body_start);
+      ok = body % sizeof(TraceRecord) == 0 &&
+           body / sizeof(TraceRecord) == header.count;
+    }
+  }
   if (ok) {
     const std::size_t base = out.size();
     out.resize(base + header.count);
     ok = std::fread(out.data() + base, sizeof(TraceRecord), header.count, f) ==
          header.count;
+    ok = ok && std::all_of(out.begin() + static_cast<std::ptrdiff_t>(base),
+                           out.end(), [](const TraceRecord& r) {
+                             return static_cast<std::size_t>(r.kind) <
+                                    kEventKindCount;
+                           });
     if (!ok) out.resize(base);
   }
   std::fclose(f);

@@ -14,7 +14,7 @@
 ///  - Chrome `trace_event` JSON (catapult / chrome://tracing / Perfetto):
 ///    one instant event per record, pid = acting node, categories = seam
 ///    categories, so a deployment's timeline renders per-node rows.
-///  - A compact binary dump: a 16-byte header followed by the raw 32-byte
+///  - A compact binary dump: a 24-byte header followed by the raw 32-byte
 ///    records. This is what each `lifting_node` process writes at
 ///    shutdown; `lifting_trace` merges per-node dumps by timestamp into
 ///    one Chrome JSON timeline.
@@ -41,8 +41,11 @@ bool write_binary_dump(const std::string& path, const TraceRing& ring,
                        std::uint32_t node);
 
 /// Appends the dump's records to `out` (order preserved); `node` receives
-/// the header's node id when non-null. Returns false on missing file,
-/// bad magic or unsupported version.
+/// the header's node id when non-null. Returns false, leaving `out` as it
+/// was, on a missing file, bad magic, an unsupported version, a record
+/// count that disagrees with the file's size, or an unknown record kind.
+/// Nothing is allocated before the count has been checked against the
+/// file, so a hostile header cannot make the reader allocate without bound.
 bool read_binary_dump(const std::string& path,
                       std::vector<TraceRecord>& out,
                       std::uint32_t* node = nullptr);

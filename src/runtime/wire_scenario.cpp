@@ -254,6 +254,17 @@ bool wire_supported(const ScenarioConfig& config, std::string* why) {
   if (config.freerider_behavior.collusion.has_value()) {
     return unsupported("collusion is simulator-only");
   }
+  // The wire codec carries no membership.* keys: a daemon would quietly
+  // fall back to directory sampling, so these are refused by name.
+  if (config.membership.rps_partner_sampling) {
+    return unsupported(
+        "membership.rps_partner_sampling (RPS partner selection) is "
+        "simulator-only");
+  }
+  if (config.membership.attack.enabled()) {
+    return unsupported(
+        "membership.attack (membership-layer attacks) is simulator-only");
+  }
   return true;
 }
 

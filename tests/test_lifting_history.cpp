@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/ring_log.hpp"
+#include "common/rng.hpp"
 #include "lifting/history.hpp"
+#include "net/codec.hpp"
 
 namespace lifting {
 namespace {
@@ -169,6 +173,223 @@ TEST(ConfirmAskerLog, PruneDropsOldAskers) {
   const auto askers = log.askers_about(NodeId{5});
   ASSERT_EQ(askers.size(), 1u);
   EXPECT_EQ(askers[0], NodeId{2});
+}
+
+TEST(RingLog, BulkAppendPopAndSegmentsKeepOrderAcrossWrapAndGrowth) {
+  RingLog<std::uint32_t> ring;
+  std::vector<std::uint32_t> model;  // the live window, oldest first
+  Pcg32 rng{77};
+  std::uint32_t next = 0;
+  for (int step = 0; step < 400; ++step) {
+    // Runs of 0..40 ids: some wider than the ring's current capacity, so
+    // one append both grows the ring and straddles its physical end.
+    std::vector<std::uint32_t> run(rng.below(41));
+    for (auto& v : run) v = next++;
+    ring.append(run.data(), run.size());
+    model.insert(model.end(), run.begin(), run.end());
+    const std::size_t drop = rng.below(static_cast<std::uint32_t>(
+        std::min<std::size_t>(model.size(), 60) + 1));
+    ring.pop_front(drop);
+    model.erase(model.begin(), model.begin() + static_cast<std::ptrdiff_t>(drop));
+    ASSERT_EQ(ring.size(), model.size());
+    for (std::size_t i = 0; i < model.size(); ++i) ASSERT_EQ(ring[i], model[i]);
+    // Any sub-run, read as its (at most two) contiguous pieces.
+    const auto size = static_cast<std::uint32_t>(model.size());
+    const std::uint32_t at = rng.below(size + 1);
+    const std::uint32_t n = rng.below(size - at + 1);
+    const auto pieces = ring.segments(at, n);
+    std::vector<std::uint32_t> joined(pieces.first.begin(), pieces.first.end());
+    joined.insert(joined.end(), pieces.second.begin(), pieces.second.end());
+    ASSERT_EQ(joined, std::vector<std::uint32_t>(model.begin() + at,
+                                                 model.begin() + at + n));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Differential test: the packed logs (keys + id rings) against a naive
+// reference that stores every record whole, driven by the same seeded
+// operation sequence. Every answer and every audit snapshot must agree.
+
+/// One record stored whole — the layout the packed logs replace.
+struct NaiveRecord {
+  TimePoint at{};
+  NodeId from{};
+  PeriodIndex period = 0;
+  std::vector<NodeId> partners;
+  std::vector<ChunkId> chunks;
+};
+
+/// The reference semantics, written the obvious way over full records.
+struct NaiveLog {
+  std::vector<NaiveRecord> records;
+
+  void prune(TimePoint cutoff) {
+    const auto keep = std::find_if(
+        records.begin(), records.end(),
+        [&](const NaiveRecord& r) { return !(r.at < cutoff); });
+    records.erase(records.begin(), keep);
+  }
+  [[nodiscard]] bool has(NodeId from, PeriodIndex period) const {
+    return std::any_of(records.begin(), records.end(),
+                       [&](const NaiveRecord& r) {
+                         return r.from == from && r.period == period;
+                       });
+  }
+  [[nodiscard]] bool confirms(NodeId subject,
+                              const gossip::ChunkIdList& chunks,
+                              TimePoint since) const {
+    for (const auto& r : records) {
+      if (r.at < since || r.from != subject) continue;
+      const bool all = std::all_of(chunks.begin(), chunks.end(), [&](ChunkId c) {
+        return std::find(r.chunks.begin(), r.chunks.end(), c) != r.chunks.end();
+      });
+      if (all) return true;
+    }
+    return false;
+  }
+  [[nodiscard]] std::vector<gossip::HistoryProposalRecord> snapshot() const {
+    std::vector<gossip::HistoryProposalRecord> out;
+    for (const auto& r : records) {
+      out.push_back(gossip::HistoryProposalRecord{
+          r.period, r.partners,
+          gossip::ChunkIdList(r.chunks.begin(), r.chunks.end())});
+    }
+    return out;
+  }
+};
+
+/// A chunk list of a shape the logs must store exactly: empty, short,
+/// around the inline capacity or well past it, unsorted, with repeats.
+gossip::ChunkIdList random_chunks(Pcg32& rng) {
+  static constexpr std::uint32_t kLengths[] = {0, 1, 3, 7, 28, 31, 32, 33, 70};
+  const std::uint32_t n = kLengths[rng.below(std::size(kLengths))];
+  gossip::ChunkIdList out;
+  for (std::uint32_t i = 0; i < n; ++i) out.push_back(ChunkId{rng.below(90)});
+  return out;
+}
+
+/// A confirm query: a (possibly empty) subset of a logged record's chunks
+/// in shuffled order, sometimes with an id it never held.
+gossip::ChunkIdList random_query(Pcg32& rng, const NaiveLog& ref) {
+  gossip::ChunkIdList out;
+  if (ref.records.empty() || rng.below(4) == 0) {
+    for (std::uint32_t i = rng.below(4); i > 0; --i) {
+      out.push_back(ChunkId{rng.below(90)});
+    }
+    return out;
+  }
+  const auto& r = ref.records[rng.below(
+      static_cast<std::uint32_t>(ref.records.size()))];
+  for (const auto c : r.chunks) {
+    if (rng.below(3) == 0) out.push_back(c);
+  }
+  std::reverse(out.begin(), out.end());
+  if (rng.below(3) == 0) out.push_back(ChunkId{90 + rng.below(4)});
+  return out;
+}
+
+/// The snapshots as the audit reply carries them on the wire.
+std::vector<std::uint8_t> audit_bytes(
+    std::vector<gossip::HistoryProposalRecord> records) {
+  return net::encode(gossip::AuditHistoryMsg{1, std::move(records)});
+}
+
+TEST(PackedHistoryDifferential, MatchesNaiveLogsOnRandomSequences) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE(seed);
+    Pcg32 rng{seed};
+    ReceivedProposalLog received;
+    SentProposalHistory sent;
+    NaiveLog ref_received;
+    NaiveLog ref_sent;
+    TimePoint now = kSimEpoch;
+    PeriodIndex period = 0;
+    for (int op = 0; op < 1500; ++op) {
+      // Time never goes backwards; equal timestamps are allowed.
+      now += microseconds(rng.below(3) * rng.below(400'000));
+      // Periods mostly advance, but arrive out of order and repeat too.
+      period += rng.below(3);
+      const PeriodIndex p =
+          period > 4 && rng.below(4) == 0 ? period - rng.below(5) : period;
+      switch (rng.below(8)) {
+        case 0:
+        case 1:
+        case 2: {  // a received proposal
+          const NodeId from{rng.below(6)};
+          const auto chunks = random_chunks(rng);
+          received.record(now, from, p, chunks);
+          ref_received.records.push_back(
+              {now, from, p, {}, {chunks.begin(), chunks.end()}});
+          break;
+        }
+        case 3: {  // a sent proposal
+          std::vector<NodeId> partners(rng.below(12));
+          for (auto& n : partners) n = NodeId{rng.below(50)};
+          const auto chunks = random_chunks(rng);
+          sent.record(now, p, partners, chunks);
+          ref_sent.records.push_back(
+              {now, NodeId{}, p, partners, {chunks.begin(), chunks.end()}});
+          break;
+        }
+        case 4: {  // the window slides (occasionally past everything)
+          const auto window = microseconds(rng.below(8) == 0
+                                               ? 0
+                                               : rng.below(6'000'000));
+          const TimePoint cutoff =
+              now - std::min(now.time_since_epoch(), window);
+          received.prune(cutoff);
+          sent.prune(cutoff);
+          ref_received.prune(cutoff);
+          ref_sent.prune(cutoff);
+          break;
+        }
+        case 5: {  // duplicate guard: logged keys and near misses
+          NodeId from{rng.below(7)};
+          PeriodIndex q = p + rng.below(3) - 1;
+          if (!ref_received.records.empty() && rng.below(2) == 0) {
+            const auto& r = ref_received.records[rng.below(
+                static_cast<std::uint32_t>(ref_received.records.size()))];
+            from = r.from;
+            q = r.period;
+          }
+          ASSERT_EQ(received.has(from, q), ref_received.has(from, q));
+          break;
+        }
+        case 6: {  // witness test, with and without a lower time bound
+          const NodeId subject{rng.below(7)};
+          const auto query = random_query(rng, ref_received);
+          const TimePoint since =
+              rng.below(2) == 0
+                  ? kSimEpoch
+                  : now - std::min(now.time_since_epoch(),
+                                   microseconds(rng.below(4'000'000)));
+          ASSERT_EQ(received.confirms(subject, query, since),
+                    ref_received.confirms(subject, query, since));
+          if (!ref_received.records.empty()) {
+            const auto& r = ref_received.records.back();
+            const gossip::ChunkIdList all(r.chunks.begin(), r.chunks.end());
+            ASSERT_TRUE(received.confirms(r.from, all, r.at));
+          }
+          break;
+        }
+        default: {  // the audit reply
+          ASSERT_EQ(audit_bytes(sent.snapshot()),
+                    audit_bytes(ref_sent.snapshot()));
+          break;
+        }
+      }
+      ASSERT_EQ(received.size(), ref_received.records.size());
+      ASSERT_EQ(sent.size(), ref_sent.records.size());
+    }
+    const auto snap = sent.snapshot();
+    const auto want = ref_sent.snapshot();
+    ASSERT_EQ(snap.size(), want.size());
+    for (std::size_t i = 0; i < snap.size(); ++i) {
+      EXPECT_EQ(snap[i].period, want[i].period);
+      EXPECT_EQ(snap[i].partners, want[i].partners);
+      EXPECT_EQ(snap[i].chunks, want[i].chunks);
+    }
+  }
 }
 
 }  // namespace

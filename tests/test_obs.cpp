@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -126,6 +127,71 @@ TEST(Export, BinaryDumpRoundTripsAndRejectsGarbage) {
   }
   ASSERT_TRUE(obs::read_binary_dump(garbage, none, nullptr));
   EXPECT_TRUE(none.empty());
+}
+
+/// Writes a dump header claiming `count` records, then `body` verbatim —
+/// a hand-made (possibly hostile) dump.
+std::string write_raw_dump(const std::string& name, std::uint64_t count,
+                           const std::vector<obs::TraceRecord>& body) {
+  const std::string path = testing::TempDir() + name;
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  const std::uint32_t words[4] = {obs::kDumpMagic, obs::kDumpVersion, 3, 0};
+  std::fwrite(words, sizeof(words), 1, f);
+  std::fwrite(&count, sizeof(count), 1, f);
+  if (!body.empty()) {
+    std::fwrite(body.data(), sizeof(obs::TraceRecord), body.size(), f);
+  }
+  std::fclose(f);
+  return path;
+}
+
+TEST(Export, HugeRecordCountIsRejectedWithoutAllocating) {
+  // A 24-byte dump whose header claims 2^40 records: the reader must check
+  // the count against the file before sizing anything from it. The second
+  // count makes count * 32 wrap to exactly the one record that follows.
+  const std::string huge =
+      write_raw_dump("obs_huge_count.trace", std::uint64_t{1} << 40, {});
+  const std::string wrapping =
+      write_raw_dump("obs_wrapping_count.trace", (std::uint64_t{1} << 59) + 1,
+                     {rec(10, 1, obs::EventKind::kProposeSent)});
+  for (const auto& path : {huge, wrapping}) {
+    std::vector<obs::TraceRecord> out;
+    bool ok = true;
+    EXPECT_NO_THROW(ok = obs::read_binary_dump(path, out, nullptr)) << path;
+    EXPECT_FALSE(ok) << path;
+    EXPECT_TRUE(out.empty()) << path;
+    EXPECT_EQ(out.capacity(), 0u) << path;
+  }
+}
+
+TEST(Export, TruncatedOrPaddedDumpIsRejected) {
+  const std::vector<obs::TraceRecord> two = {
+      rec(10, 1, obs::EventKind::kProposeSent),
+      rec(20, 2, obs::EventKind::kBlameEmitted)};
+  // Header claims 5, the file holds 2: truncated.
+  const std::string truncated = write_raw_dump("obs_truncated.trace", 5, two);
+  // Header claims 1, the file holds 2: the tail is not a record of it.
+  const std::string padded = write_raw_dump("obs_padded.trace", 1, two);
+  for (const auto& path : {truncated, padded}) {
+    std::vector<obs::TraceRecord> out = {rec(1, 9, obs::EventKind::kRpsMerge)};
+    bool ok = true;
+    EXPECT_NO_THROW(ok = obs::read_binary_dump(path, out, nullptr)) << path;
+    EXPECT_FALSE(ok) << path;
+    // A failed read leaves what the caller already held untouched.
+    ASSERT_EQ(out.size(), 1u) << path;
+    EXPECT_EQ(out[0].actor, 9u);
+    EXPECT_LE(out.capacity(), 2u) << path;
+  }
+}
+
+TEST(Export, UnknownRecordKindIsRejected) {
+  auto bad = rec(10, 1, obs::EventKind::kProposeSent);
+  bad.kind = static_cast<obs::EventKind>(obs::kEventKindCount);
+  const std::string path = write_raw_dump(
+      "obs_bad_kind.trace", 2, {rec(5, 1, obs::EventKind::kProposeSent), bad});
+  std::vector<obs::TraceRecord> out;
+  EXPECT_FALSE(obs::read_binary_dump(path, out, nullptr));
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(Export, MergeOrdersByTimeThenActorThenKind) {

@@ -103,5 +103,24 @@ TEST(WireScenario, UnsupportedFeaturesAreNamed) {
   EXPECT_TRUE(wire_supported(ScenarioConfig::planetlab(), &why)) << why;
 }
 
+// The codec emits no membership.* keys, so a membership feature must be
+// refused by name instead of silently running with directory sampling.
+TEST(WireScenario, RpsPartnerSamplingIsRejectedByName) {
+  auto cfg = ScenarioConfig::small(16);
+  cfg.membership.rps_partner_sampling = true;
+  std::string why;
+  EXPECT_FALSE(wire_supported(cfg, &why));
+  EXPECT_NE(why.find("membership.rps_partner_sampling"), std::string::npos)
+      << why;
+}
+
+TEST(WireScenario, MembershipAttackIsRejectedByName) {
+  auto cfg = ScenarioConfig::small(16);
+  cfg.membership.attack.strategy = adversary::MembershipStrategy::kViewPoison;
+  std::string why;
+  EXPECT_FALSE(wire_supported(cfg, &why));
+  EXPECT_NE(why.find("membership.attack"), std::string::npos) << why;
+}
+
 }  // namespace
 }  // namespace lifting::runtime
