@@ -56,6 +56,8 @@ struct MembershipAttackConfig {
   /// kEclipse: fraction of the honest population chosen (deterministically,
   /// at arm time) as eclipse victims.
   double eclipse_fraction = 0.2;
+  friend bool operator==(const MembershipAttackConfig&,
+                         const MembershipAttackConfig&) = default;
 
   [[nodiscard]] bool enabled() const noexcept {
     return strategy != MembershipStrategy::kNone;

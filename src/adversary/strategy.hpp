@@ -92,6 +92,8 @@ struct AdversaryConfig {
   /// Within this window a member keeps covering up for a peer that any
   /// colluder recently reported alive, even if its own view lags.
   Duration intel_stale = seconds(2.0);
+  friend bool operator==(const AdversaryConfig&,
+                         const AdversaryConfig&) = default;
 
   [[nodiscard]] bool enabled() const noexcept {
     return strategy != Strategy::kNone;

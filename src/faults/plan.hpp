@@ -36,6 +36,8 @@ struct PartitionWindow {
   std::uint32_t remainder = 0;
   bool drop_island_to_main = true;
   bool drop_main_to_island = true;
+  friend bool operator==(const PartitionWindow&,
+                         const PartitionWindow&) = default;
 
   [[nodiscard]] bool contains(NodeId id) const noexcept {
     return modulus != 0 && id.value() % modulus == remainder;
@@ -72,6 +74,7 @@ struct FaultPlan {
 
   // ---- partition/heal windows
   std::vector<PartitionWindow> partitions;
+  friend bool operator==(const FaultPlan&, const FaultPlan&) = default;
 
   /// True when no fault can ever trigger — the injector then never
   /// constructs a generator or draws a number (the determinism contract).

@@ -33,6 +33,8 @@ struct CollusionSpec {
   /// Coalition members answer "yes" to confirm requests about each other
   /// and acknowledge each other's history entries during audits.
   bool cover_up = true;
+  friend bool operator==(const CollusionSpec&,
+                         const CollusionSpec&) = default;
 
   [[nodiscard]] bool contains(NodeId id) const {
     return std::find(coalition.begin(), coalition.end(), id) !=
@@ -60,6 +62,7 @@ struct BehaviorSpec {
   /// proposed (dropping them openly would be self-incriminating); witnesses
   /// then contradict. Honest nodes have nothing to lie about.
   std::optional<CollusionSpec> collusion;
+  friend bool operator==(const BehaviorSpec&, const BehaviorSpec&) = default;
 
   [[nodiscard]] bool is_honest() const {
     return delta_fanout == 0.0 && delta_propose == 0.0 && delta_serve == 0.0 &&

@@ -85,6 +85,7 @@ struct GossipParams {
   /// |R| puts the system in the §6 steady state (each node served by ~f
   /// servers with |R| chunks each per period).
   std::uint32_t max_request_per_proposal = 0;
+  friend bool operator==(const GossipParams&, const GossipParams&) = default;
 };
 
 /// Per-engine protocol statistics.

@@ -22,6 +22,7 @@ class StreamSource {
     double bitrate_bps = 674'000.0;
     std::uint32_t chunk_payload_bytes = 8'425;  // => 10 chunks/s at 674 kbps
     Duration duration = seconds(60.0);
+    friend bool operator==(const Params&, const Params&) = default;
 
     /// Chunk ids the full stream will span (ceiling), for pre-sizing
     /// per-stream structures like the DeliveryLog presence bitmap.

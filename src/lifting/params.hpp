@@ -133,6 +133,8 @@ struct LiftingParams {
   /// the dominant per-node allocation ~16x with identical confirm/poll
   /// answers. Must cover at least kConfirmWindowPeriods + 1 periods.
   Duration history_retention = Duration::zero();
+  friend bool operator==(const LiftingParams&,
+                         const LiftingParams&) = default;
 
   /// n_h = h / Tg (§5: the number of gossip periods covered by the history).
   [[nodiscard]] std::uint32_t history_periods() const {

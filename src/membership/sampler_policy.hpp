@@ -43,6 +43,8 @@ struct SamplerPolicy {
   /// Hardened: reject entries carrying the forged marker (modeled
   /// RAPTEE-style attestation).
   bool attested = true;
+  friend bool operator==(const SamplerPolicy&,
+                         const SamplerPolicy&) = default;
 
   [[nodiscard]] bool hardened() const noexcept {
     return variant == Variant::kHardened;

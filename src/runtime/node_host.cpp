@@ -17,17 +17,22 @@ constexpr Duration kDrainWindow = milliseconds(300);
 /// Longest poll_wait nap — bounds how late a timer can fire past its due
 /// time when no datagram wakes the loop earlier.
 constexpr Duration kMaxNap = milliseconds(5);
+
+/// Runs before any member sizes a table by config.nodes.
+const ScenarioConfig& deployable(const ScenarioConfig& config) {
+  config.validate();
+  std::string why;
+  require(wire_supported(config, &why), "wire deployment unsupported: " + why);
+  return config;
+}
 }  // namespace
 
 NodeHost::NodeHost(const ScenarioConfig& config, NodeId self)
-    : config_(config),
+    : config_(deployable(config)),
       self_(self),
       injector_(udp_, sim_, config.seed),
       mailer_(injector_),
       directory_(config.nodes) {
-  config_.validate();
-  std::string why;
-  require(wire_supported(config_, &why), "wire deployment unsupported: " + why);
   require(self_.value() < config_.nodes, "self id outside the population");
   injector_.set_plan(config_.faults);
   mailer_.set_datagram_audit_pricing(

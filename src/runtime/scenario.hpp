@@ -90,6 +90,8 @@ struct ScenarioConfig {
     /// Membership-level attack over the freerider coalition
     /// (adversary/membership.hpp). Requires rps_partner_sampling.
     adversary::MembershipAttackConfig attack;
+    friend bool operator==(const MembershipConfig&,
+                           const MembershipConfig&) = default;
   };
   MembershipConfig membership;
 
@@ -141,6 +143,8 @@ struct ScenarioConfig {
   /// against "handoff + store amnesia" instead of handoff alone. Inert
   /// while manager_handoff is on (the handoff path already migrates).
   bool carried_manager_store = false;
+  friend bool operator==(const ScenarioConfig&,
+                         const ScenarioConfig&) = default;
 
   void validate() const;
 

@@ -57,6 +57,8 @@ struct ScenarioEvent {
   /// kSetFaults: the new transport fault plan (replaces the current one;
   /// an empty plan heals everything). Applies to the whole deployment, so
   /// `node` is ignored for this kind.
+  friend bool operator==(const ScenarioEvent&,
+                         const ScenarioEvent&) = default;
   faults::FaultPlan faults{};
 };
 
@@ -150,6 +152,8 @@ class ScenarioTimeline {
   }
   /// Events sorted by time, ties kept in insertion order (stable).
   [[nodiscard]] std::vector<ScenarioEvent> ordered() const;
+  friend bool operator==(const ScenarioTimeline&,
+                         const ScenarioTimeline&) = default;
 
   /// Poisson churn preset: memoryless arrivals and departures, the default
   /// churn model of peer-sampling and streaming-system evaluations.

@@ -1,269 +1,315 @@
 #include "runtime/wire_scenario.hpp"
 
+#include <algorithm>
+#include <array>
+#include <charconv>
+#include <cmath>
+#include <concepts>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 #include <string_view>
+#include <type_traits>
 
 namespace lifting::runtime {
 
 namespace {
 
-void put_u64(std::string& out, std::string_view key, std::uint64_t v) {
-  out.append(key);
-  out.push_back(' ');
-  out.append(std::to_string(v));
-  out.push_back('\n');
+/// The field table: every ScenarioConfig field the wire carries, named
+/// once, in wire order. Encode (Writer), decode (Matcher) and the
+/// wire_supported catch-all all walk it, so a key cannot be written without
+/// being read. `Config` is ScenarioConfig or const ScenarioConfig.
+template <typename Config, typename F>
+void visit_fields(Config& c, F&& f) {
+  f("nodes", c.nodes);
+  f("seed", c.seed);
+  f("duration_us", c.duration);
+
+  f("gossip.fanout", c.gossip.fanout);
+  f("gossip.period_us", c.gossip.period);
+  f("gossip.request_timeout_us", c.gossip.request_timeout);
+  f("gossip.proposal_retention_periods", c.gossip.proposal_retention_periods);
+  f("gossip.max_request_per_proposal", c.gossip.max_request_per_proposal);
+
+  f("stream.bitrate_bps", c.stream.bitrate_bps);
+  f("stream.chunk_payload_bytes", c.stream.chunk_payload_bytes);
+  f("stream.duration_us", c.stream.duration);
+
+  f("lifting_enabled", c.lifting_enabled);
+  auto& lp = c.lifting;
+  f("lifting.fanout", lp.fanout);
+  f("lifting.period_us", lp.period);
+  f("lifting.nominal_request_size", lp.nominal_request_size);
+  f("lifting.p_dcc", lp.p_dcc);
+  f("lifting.loss_estimate", lp.loss_estimate);
+  f("lifting.compensation_factor", lp.compensation_factor);
+  f("lifting.dv_timeout_us", lp.dv_timeout);
+  f("lifting.ack_timeout_us", lp.ack_timeout);
+  f("lifting.confirm_timeout_us", lp.confirm_timeout);
+  f("lifting.adaptive_pdcc", lp.adaptive_pdcc);
+  f("lifting.adaptive_min_pdcc", lp.adaptive_min_pdcc);
+  f("lifting.adaptive_decay", lp.adaptive_decay);
+  f("lifting.adaptive_noise_multiple", lp.adaptive_noise_multiple);
+  f("lifting.managers", lp.managers);
+  f("lifting.eta", lp.eta);
+  f("lifting.score_vote", lp.score_vote);
+  f("lifting.expel_slack", lp.expel_slack);
+  f("lifting.min_score_replies", lp.min_score_replies);
+  f("lifting.score_reply_timeout_us", lp.score_reply_timeout);
+  f("lifting.expel_vote_timeout_us", lp.expel_vote_timeout);
+  f("lifting.score_check_probability", lp.score_check_probability);
+  f("lifting.min_periods_before_detection", lp.min_periods_before_detection);
+  f("lifting.gamma", lp.gamma);
+  f("lifting.history_window_us", lp.history_window);
+  f("lifting.audit_probability", lp.audit_probability);
+  f("lifting.audit_warmup_periods", lp.audit_warmup_periods);
+  f("lifting.audit_poll_timeout_us", lp.audit_poll_timeout);
+  f("lifting.min_fanin_samples", lp.min_fanin_samples);
+  f("lifting.rate_tolerance", lp.rate_tolerance);
+  f("lifting.history_retention_us", lp.history_retention);
+  f("lifting.audit_channel", lp.audit_channel);
+  f("lifting.audit_max_retries", lp.audit_max_retries);
+  f("lifting.audit_retry_base_us", lp.audit_retry_base);
+  f("lifting.audit_retry_jitter", lp.audit_retry_jitter);
+  f("lifting.audit_dedup_cap", lp.audit_dedup_cap);
+  f("lifting.blame_dedup_window_us", lp.blame_dedup_window);
+
+  auto& fp = c.faults;
+  f("faults.p_good_to_bad", fp.p_good_to_bad);
+  f("faults.p_bad_to_good", fp.p_bad_to_good);
+  f("faults.loss_good", fp.loss_good);
+  f("faults.loss_bad", fp.loss_bad);
+  f("faults.delay_spike_probability", fp.delay_spike_probability);
+  f("faults.delay_spike_min_us", fp.delay_spike_min);
+  f("faults.delay_spike_max_us", fp.delay_spike_max);
+  f("faults.duplicate_probability", fp.duplicate_probability);
+  f("faults.reorder_probability", fp.reorder_probability);
+  f("faults.reorder_delay_us", fp.reorder_delay);
+  // The window count, then each window's rows under kWindowPrefix.
+  f("faults.partitions", fp.partitions);
+
+  f("freerider_fraction", c.freerider_fraction);
+  auto& fb = c.freerider_behavior;
+  f("behavior.delta_fanout", fb.delta_fanout);
+  f("behavior.delta_propose", fb.delta_propose);
+  f("behavior.delta_serve", fb.delta_serve);
+  f("behavior.period_stretch", fb.period_stretch);
+  f("behavior.lie_in_history", fb.lie_in_history);
 }
 
-void put_f64(std::string& out, std::string_view key, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out.append(key);
-  out.push_back(' ');
-  out.append(buf);
-  out.push_back('\n');
+/// The rows of one partition window, keyed `faults.partition.<i>.<name>`.
+constexpr std::string_view kWindowPrefix = "faults.partition.";
+/// Scenario files are human-scale: caps the window count and index (and so
+/// the resize a hostile key can ask for).
+constexpr std::uint64_t kMaxWindows = 4096;
+
+template <typename Window, typename F>
+void visit_window(Window& w, F&& f) {
+  f("start_us", w.start);
+  f("end_us", w.end);
+  f("modulus", w.modulus);
+  f("remainder", w.remainder);
+  f("drop_island_to_main", w.drop_island_to_main);
+  f("drop_main_to_island", w.drop_main_to_island);
 }
 
-void put_duration(std::string& out, std::string_view key, Duration d) {
-  put_u64(out, key, static_cast<std::uint64_t>(d.count()));
+/// Wire spellings of the enum fields, indexed by enumerator value.
+using Spellings = std::array<std::string_view, 2>;
+Spellings spellings(LiftingParams::ScoreVote) { return {"min", "mean"}; }
+Spellings spellings(LiftingParams::AuditChannel) {
+  return {"modeled_tcp", "reliable_udp"};
 }
 
-struct Parser {
-  std::string_view key;
-  std::string_view value;
-  bool matched = false;
-  bool failed = false;
+/// Encode side: one `key value` line per field. Integers and bools print
+/// in decimal, durations as integer microseconds, doubles with round-trip
+/// precision, enums by name.
+struct Writer {
+  std::string& out;
+  std::string prefix;
 
-  bool want(std::string_view name) {
-    if (matched || failed || key != name) return false;
-    matched = true;
-    return true;
+  void put(std::string_view key, std::string_view value) {
+    out.append(prefix).append(key).append(" ").append(value).push_back('\n');
   }
-
-  template <typename T>
-  void u(std::string_view name, T& field) {
-    if (!want(name)) return;
-    char* end = nullptr;
-    const std::string tmp(value);
-    const auto v = std::strtoull(tmp.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') {
-      failed = true;
-      return;
-    }
-    field = static_cast<T>(v);
+  void operator()(std::string_view key, std::unsigned_integral auto v) {
+    put(key, std::to_string(static_cast<std::uint64_t>(v)));
   }
-
-  void f(std::string_view name, double& field) {
-    if (!want(name)) return;
-    char* end = nullptr;
-    const std::string tmp(value);
-    const double v = std::strtod(tmp.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
-      failed = true;
-      return;
-    }
-    field = v;
+  void operator()(std::string_view key, double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    put(key, buf);
   }
-
-  void b(std::string_view name, bool& field) {
-    if (!want(name)) return;
-    if (value == "0") {
-      field = false;
-    } else if (value == "1") {
-      field = true;
-    } else {
-      failed = true;
-    }
+  void operator()(std::string_view key, Duration d) {
+    (*this)(key, static_cast<std::uint64_t>(d.count()));
   }
-
-  void dur(std::string_view name, Duration& field) {
-    std::uint64_t us = 0;
-    const bool was_matched = matched;
-    u(name, us);
-    if (matched && !was_matched && !failed) {
-      field = Duration{static_cast<Duration::rep>(us)};
+  template <typename E>
+    requires std::is_enum_v<E>
+  void operator()(std::string_view key, E v) {
+    const auto i = static_cast<std::size_t>(v);
+    put(key, i < spellings(v).size() ? spellings(v)[i] : "?");
+  }
+  void operator()(std::string_view key,
+                  const std::vector<faults::PartitionWindow>& windows) {
+    (*this)(key, windows.size());
+    for (std::size_t i = 0; i < windows.size(); ++i) {
+      Writer row{out, std::string(kWindowPrefix) + std::to_string(i) + "."};
+      visit_window(windows[i], row);
     }
   }
 };
 
-/// Indexed partition-window keys (`faults.partition.N.field`): the Parser
-/// matches fixed names, so the prefix and index are peeled off by hand and
-/// the remainder dispatches through the usual matchers. Windows are
-/// resized on demand, so entry order relative to the `faults.partitions`
-/// count key cannot matter.
-void parse_partition_field(Parser& p, ScenarioConfig& cfg) {
-  constexpr std::string_view kPrefix = "faults.partition.";
-  if (p.matched || p.failed || p.key.substr(0, kPrefix.size()) != kPrefix) {
-    return;
-  }
-  const std::string_view rest = p.key.substr(kPrefix.size());
-  const auto dot = rest.find('.');
-  if (dot == std::string_view::npos || dot == 0) return;  // unknown key
-  std::size_t index = 0;
-  for (const char c : rest.substr(0, dot)) {
-    if (c < '0' || c > '9') return;  // unknown key
-    index = index * 10 + static_cast<std::size_t>(c - '0');
-    if (index > 4096) {  // scenario files are human-scale; cap the resize
-      p.failed = true;
-      return;
-    }
-  }
-  auto& windows = cfg.faults.partitions;
-  if (index >= windows.size()) windows.resize(index + 1);
-  auto& w = windows[index];
-  p.key = rest.substr(dot + 1);
-  p.dur("start_us", w.start);
-  p.dur("end_us", w.end);
-  p.u("modulus", w.modulus);
-  p.u("remainder", w.remainder);
-  p.b("drop_island_to_main", w.drop_island_to_main);
-  p.b("drop_main_to_island", w.drop_main_to_island);
+/// Parses `text` whole as a T. std::from_chars takes no '+', no leading
+/// space and no sign for unsigned T, and refuses values that overflow T.
+template <typename T>
+bool parse_number(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
 }
 
-/// One field table walked by both encode (via put_*) and decode (via
-/// Parser) would be nicer, but the two sides differ enough (string
-/// building vs error handling) that the duplication below is the simpler
-/// honest version; decode_wire_scenario's round-trip test pins that the
-/// two lists agree.
-void parse_field(Parser& p, ScenarioConfig& cfg) {
-  p.u("nodes", cfg.nodes);
-  p.u("seed", cfg.seed);
-  p.dur("duration_us", cfg.duration);
+bool parse(std::string_view text, std::unsigned_integral auto& field) {
+  return parse_number(text, field);
+}
+bool parse(std::string_view text, bool& field) {
+  field = text == "1";
+  return text == "0" || text == "1";
+}
+bool parse(std::string_view text, double& field) {
+  return parse_number(text, field) && std::isfinite(field);
+}
+bool parse(std::string_view text, Duration& field) {
+  Duration::rep us = 0;  // signed, so the sign is refused by hand
+  if (text.starts_with('-') || !parse_number(text, us)) return false;
+  field = Duration{us};
+  return true;
+}
+template <typename E>
+  requires std::is_enum_v<E>
+bool parse(std::string_view text, E& field) {
+  const auto names = spellings(field);
+  const auto it = std::find(names.begin(), names.end(), text);
+  field = static_cast<E>(it - names.begin());
+  return it != names.end();
+}
 
-  p.u("gossip.fanout", cfg.gossip.fanout);
-  p.dur("gossip.period_us", cfg.gossip.period);
-  p.dur("gossip.request_timeout_us", cfg.gossip.request_timeout);
-  p.u("gossip.proposal_retention_periods",
-      cfg.gossip.proposal_retention_periods);
-  p.u("gossip.max_request_per_proposal", cfg.gossip.max_request_per_proposal);
+/// Decode side: applies one `key value` line to the field it names.
+struct Matcher {
+  std::string_view key;
+  std::string_view value;
+  bool matched = false;
+  bool ok = true;
 
-  p.f("stream.bitrate_bps", cfg.stream.bitrate_bps);
-  p.u("stream.chunk_payload_bytes", cfg.stream.chunk_payload_bytes);
-  p.dur("stream.duration_us", cfg.stream.duration);
-
-  p.b("lifting_enabled", cfg.lifting_enabled);
-  p.u("lifting.fanout", cfg.lifting.fanout);
-  p.dur("lifting.period_us", cfg.lifting.period);
-  p.u("lifting.nominal_request_size", cfg.lifting.nominal_request_size);
-  p.f("lifting.p_dcc", cfg.lifting.p_dcc);
-  p.f("lifting.loss_estimate", cfg.lifting.loss_estimate);
-  p.f("lifting.compensation_factor", cfg.lifting.compensation_factor);
-  p.dur("lifting.dv_timeout_us", cfg.lifting.dv_timeout);
-  p.dur("lifting.ack_timeout_us", cfg.lifting.ack_timeout);
-  p.dur("lifting.confirm_timeout_us", cfg.lifting.confirm_timeout);
-  p.b("lifting.adaptive_pdcc", cfg.lifting.adaptive_pdcc);
-  p.f("lifting.adaptive_min_pdcc", cfg.lifting.adaptive_min_pdcc);
-  p.f("lifting.adaptive_decay", cfg.lifting.adaptive_decay);
-  p.f("lifting.adaptive_noise_multiple", cfg.lifting.adaptive_noise_multiple);
-  p.u("lifting.managers", cfg.lifting.managers);
-  p.f("lifting.eta", cfg.lifting.eta);
-  if (p.want("lifting.score_vote")) {
-    if (p.value == "min") {
-      cfg.lifting.score_vote = LiftingParams::ScoreVote::kMin;
-    } else if (p.value == "mean") {
-      cfg.lifting.score_vote = LiftingParams::ScoreVote::kMean;
-    } else {
-      p.failed = true;
-    }
+  template <typename T>
+  void operator()(std::string_view name, T& field) {
+    if (matched || key != name) return;
+    matched = true;
+    ok = parse(value, field);
   }
-  p.f("lifting.expel_slack", cfg.lifting.expel_slack);
-  p.u("lifting.min_score_replies", cfg.lifting.min_score_replies);
-  p.dur("lifting.score_reply_timeout_us", cfg.lifting.score_reply_timeout);
-  p.dur("lifting.expel_vote_timeout_us", cfg.lifting.expel_vote_timeout);
-  p.f("lifting.score_check_probability",
-      cfg.lifting.score_check_probability);
-  p.u("lifting.min_periods_before_detection",
-      cfg.lifting.min_periods_before_detection);
-  p.f("lifting.gamma", cfg.lifting.gamma);
-  p.dur("lifting.history_window_us", cfg.lifting.history_window);
-  p.f("lifting.audit_probability", cfg.lifting.audit_probability);
-  p.u("lifting.audit_warmup_periods", cfg.lifting.audit_warmup_periods);
-  p.dur("lifting.audit_poll_timeout_us", cfg.lifting.audit_poll_timeout);
-  p.u("lifting.min_fanin_samples", cfg.lifting.min_fanin_samples);
-  p.f("lifting.rate_tolerance", cfg.lifting.rate_tolerance);
-  p.dur("lifting.history_retention_us", cfg.lifting.history_retention);
-  if (p.want("lifting.audit_channel")) {
-    if (p.value == "modeled_tcp") {
-      cfg.lifting.audit_channel = LiftingParams::AuditChannel::kModeledTcp;
-    } else if (p.value == "reliable_udp") {
-      cfg.lifting.audit_channel = LiftingParams::AuditChannel::kReliableUdp;
-    } else {
-      p.failed = true;
+  /// The count key resizes; indexed keys grow the list on demand, so their
+  /// order relative to the count key cannot matter.
+  void operator()(std::string_view name,
+                  std::vector<faults::PartitionWindow>& windows) {
+    if (matched) return;
+    std::uint64_t n = 0;
+    if (key == name) {
+      matched = true;
+      ok = parse_number(value, n) && n <= kMaxWindows;
+      if (ok) windows.resize(n);
+      return;
     }
-  }
-  p.u("lifting.audit_max_retries", cfg.lifting.audit_max_retries);
-  p.dur("lifting.audit_retry_base_us", cfg.lifting.audit_retry_base);
-  p.f("lifting.audit_retry_jitter", cfg.lifting.audit_retry_jitter);
-  p.u("lifting.audit_dedup_cap", cfg.lifting.audit_dedup_cap);
-  p.dur("lifting.blame_dedup_window_us", cfg.lifting.blame_dedup_window);
-
-  p.f("faults.p_good_to_bad", cfg.faults.p_good_to_bad);
-  p.f("faults.p_bad_to_good", cfg.faults.p_bad_to_good);
-  p.f("faults.loss_good", cfg.faults.loss_good);
-  p.f("faults.loss_bad", cfg.faults.loss_bad);
-  p.f("faults.delay_spike_probability", cfg.faults.delay_spike_probability);
-  p.dur("faults.delay_spike_min_us", cfg.faults.delay_spike_min);
-  p.dur("faults.delay_spike_max_us", cfg.faults.delay_spike_max);
-  p.f("faults.duplicate_probability", cfg.faults.duplicate_probability);
-  p.f("faults.reorder_probability", cfg.faults.reorder_probability);
-  p.dur("faults.reorder_delay_us", cfg.faults.reorder_delay);
-  if (p.want("faults.partitions")) {
-    char* end = nullptr;
-    const std::string tmp(p.value);
-    const auto v = std::strtoull(tmp.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || v > 4096) {
-      p.failed = true;
-    } else {
-      cfg.faults.partitions.resize(static_cast<std::size_t>(v));
+    if (!key.starts_with(kWindowPrefix)) return;
+    const auto rest = key.substr(kWindowPrefix.size());
+    const auto dot = rest.find('.');
+    if (dot == std::string_view::npos ||
+        !parse_number(rest.substr(0, dot), n) || n > kMaxWindows) {
+      return;  // unknown key
     }
+    if (n >= windows.size()) windows.resize(n + 1);
+    Matcher row{rest.substr(dot + 1), value};
+    visit_window(windows[n], row);
+    matched = row.matched;
+    ok = row.ok;
   }
-  parse_partition_field(p, cfg);
+};
 
-  p.f("freerider_fraction", cfg.freerider_fraction);
-  p.f("behavior.delta_fanout", cfg.freerider_behavior.delta_fanout);
-  p.f("behavior.delta_propose", cfg.freerider_behavior.delta_propose);
-  p.f("behavior.delta_serve", cfg.freerider_behavior.delta_serve);
-  p.f("behavior.period_stretch", cfg.freerider_behavior.period_stretch);
-  p.b("behavior.lie_in_history", cfg.freerider_behavior.lie_in_history);
+/// A ScenarioConfig field the wire codec does not carry, named, with why.
+/// wire_supported refuses a config in which one differs from its default.
+struct SimOnlyField {
+  std::string_view name;
+  std::string_view reason;
+  bool differs;
+};
+
+std::array<SimOnlyField, 20> sim_only_fields(const ScenarioConfig& c) {
+  static const ScenarioConfig d;
+  constexpr std::string_view kChurn = "churn and handoff are simulator-only";
+  constexpr std::string_view kExpel = "expulsion is simulator-only";
+  constexpr std::string_view kRps = "the RPS substrate is simulator-only";
+  const auto &m = c.membership, &dm = d.membership;
+  return {{
+      {"timeline", kChurn, c.timeline != d.timeline},
+      {"adversary", "adaptive adversaries are simulator-only",
+       c.adversary != d.adversary},
+      {"expulsion_enabled", kExpel, c.expulsion_enabled != d.expulsion_enabled},
+      {"expulsion_propagation", kExpel,
+       c.expulsion_propagation != d.expulsion_propagation},
+      {"view_propagation", "divergent membership views are simulator-only",
+       c.view_propagation != d.view_propagation},
+      {"freerider_behavior.collusion", "collusion is simulator-only",
+       c.freerider_behavior.collusion != d.freerider_behavior.collusion},
+      {"membership.rps_partner_sampling", kRps,
+       m.rps_partner_sampling != dm.rps_partner_sampling},
+      {"membership.rps_round_period", kRps,
+       m.rps_round_period != dm.rps_round_period},
+      {"membership.view_size", kRps, m.view_size != dm.view_size},
+      {"membership.shuffle_length", kRps,
+       m.shuffle_length != dm.shuffle_length},
+      {"membership.bootstrap_rounds", kRps,
+       m.bootstrap_rounds != dm.bootstrap_rounds},
+      {"membership.sampler", kRps, m.sampler != dm.sampler},
+      {"membership.attack", kRps, m.attack != dm.attack},
+      {"failure_detection", kChurn, c.failure_detection != d.failure_detection},
+      {"manager_handoff", kChurn, c.manager_handoff != d.manager_handoff},
+      {"manager_handoff_delay", kChurn,
+       c.manager_handoff_delay != d.manager_handoff_delay},
+      {"expulsion_handoff", kChurn, c.expulsion_handoff != d.expulsion_handoff},
+      {"rejoin_scores", kChurn, c.rejoin_scores != d.rejoin_scores},
+      {"carried_manager_store", kChurn,
+       c.carried_manager_store != d.carried_manager_store},
+      {"gossip.emit_acks", "derived from lifting_enabled on every node",
+       c.gossip.emit_acks != d.gossip.emit_acks},
+  }};
 }
 
 }  // namespace
 
 bool wire_supported(const ScenarioConfig& config, std::string* why) {
-  const auto unsupported = [&](const char* what) {
-    if (why != nullptr) *why = what;
+  const auto unsupported = [&](std::string what) {
+    if (why != nullptr) *why = std::move(what);
     return false;
   };
-  if (config.nodes < 2) return unsupported("need at least 2 nodes");
-  if (!config.timeline.empty()) {
-    return unsupported("timeline events (churn) are simulator-only");
+  if (config.nodes > kMaxWireNodes) {
+    return unsupported("nodes must be at most " +
+                       std::to_string(kMaxWireNodes));
   }
-  if (config.adversary.enabled()) {
-    return unsupported("adaptive adversary controllers are simulator-only");
+  for (const auto& field : sim_only_fields(config)) {
+    if (field.differs) {
+      return unsupported(std::string(field.name) + ": " +
+                         std::string(field.reason));
+    }
   }
-  if (config.expulsion_enabled) {
-    return unsupported("expulsion propagation is simulator-only");
-  }
-  if (config.view_propagation != Duration::zero()) {
-    return unsupported("divergent membership views are simulator-only");
-  }
-  // weak_fraction is NOT rejected: weak nodes differ only by link profile,
-  // and link profiles are simulator-only (the wire has its own physics) —
-  // on the wire a "weak" node is just a node.
-  if (config.freerider_behavior.collusion.has_value()) {
-    return unsupported("collusion is simulator-only");
-  }
-  // The wire codec carries no membership.* keys: a daemon would quietly
-  // fall back to directory sampling, so these are refused by name.
-  if (config.membership.rps_partner_sampling) {
-    return unsupported(
-        "membership.rps_partner_sampling (RPS partner selection) is "
-        "simulator-only");
-  }
-  if (config.membership.attack.enabled()) {
-    return unsupported(
-        "membership.attack (membership-layer attacks) is simulator-only");
+  // Catch-all: whatever the table does not carry must be at its default,
+  // so a field added later is refused here instead of silently dropped.
+  std::string error;
+  auto carried = decode_wire_scenario(encode_wire_scenario(config), &error);
+  if (!carried.has_value()) return unsupported(error);
+  // Link profiles (the weak class differs only by its profile) are
+  // simulator physics: the wire has its own, so they are ignored.
+  carried->link = config.link;
+  carried->weak_fraction = config.weak_fraction;
+  carried->weak_link = config.weak_link;
+  if (*carried != config) {
+    return unsupported("a field the wire codec does not carry differs from "
+                       "its default");
   }
   return true;
 }
@@ -272,98 +318,7 @@ std::string encode_wire_scenario(const ScenarioConfig& config) {
   std::string out;
   out.reserve(2048);
   out.append("# lifting wire scenario\n");
-  put_u64(out, "nodes", config.nodes);
-  put_u64(out, "seed", config.seed);
-  put_duration(out, "duration_us", config.duration);
-
-  put_u64(out, "gossip.fanout", config.gossip.fanout);
-  put_duration(out, "gossip.period_us", config.gossip.period);
-  put_duration(out, "gossip.request_timeout_us", config.gossip.request_timeout);
-  put_u64(out, "gossip.proposal_retention_periods",
-          config.gossip.proposal_retention_periods);
-  put_u64(out, "gossip.max_request_per_proposal",
-          config.gossip.max_request_per_proposal);
-
-  put_f64(out, "stream.bitrate_bps", config.stream.bitrate_bps);
-  put_u64(out, "stream.chunk_payload_bytes", config.stream.chunk_payload_bytes);
-  put_duration(out, "stream.duration_us", config.stream.duration);
-
-  put_u64(out, "lifting_enabled", config.lifting_enabled ? 1 : 0);
-  const auto& lp = config.lifting;
-  put_u64(out, "lifting.fanout", lp.fanout);
-  put_duration(out, "lifting.period_us", lp.period);
-  put_u64(out, "lifting.nominal_request_size", lp.nominal_request_size);
-  put_f64(out, "lifting.p_dcc", lp.p_dcc);
-  put_f64(out, "lifting.loss_estimate", lp.loss_estimate);
-  put_f64(out, "lifting.compensation_factor", lp.compensation_factor);
-  put_duration(out, "lifting.dv_timeout_us", lp.dv_timeout);
-  put_duration(out, "lifting.ack_timeout_us", lp.ack_timeout);
-  put_duration(out, "lifting.confirm_timeout_us", lp.confirm_timeout);
-  put_u64(out, "lifting.adaptive_pdcc", lp.adaptive_pdcc ? 1 : 0);
-  put_f64(out, "lifting.adaptive_min_pdcc", lp.adaptive_min_pdcc);
-  put_f64(out, "lifting.adaptive_decay", lp.adaptive_decay);
-  put_f64(out, "lifting.adaptive_noise_multiple", lp.adaptive_noise_multiple);
-  put_u64(out, "lifting.managers", lp.managers);
-  put_f64(out, "lifting.eta", lp.eta);
-  out.append("lifting.score_vote ");
-  out.append(lp.score_vote == LiftingParams::ScoreVote::kMin ? "min" : "mean");
-  out.push_back('\n');
-  put_f64(out, "lifting.expel_slack", lp.expel_slack);
-  put_u64(out, "lifting.min_score_replies", lp.min_score_replies);
-  put_duration(out, "lifting.score_reply_timeout_us", lp.score_reply_timeout);
-  put_duration(out, "lifting.expel_vote_timeout_us", lp.expel_vote_timeout);
-  put_f64(out, "lifting.score_check_probability", lp.score_check_probability);
-  put_u64(out, "lifting.min_periods_before_detection",
-          lp.min_periods_before_detection);
-  put_f64(out, "lifting.gamma", lp.gamma);
-  put_duration(out, "lifting.history_window_us", lp.history_window);
-  put_f64(out, "lifting.audit_probability", lp.audit_probability);
-  put_u64(out, "lifting.audit_warmup_periods", lp.audit_warmup_periods);
-  put_duration(out, "lifting.audit_poll_timeout_us", lp.audit_poll_timeout);
-  put_u64(out, "lifting.min_fanin_samples", lp.min_fanin_samples);
-  put_f64(out, "lifting.rate_tolerance", lp.rate_tolerance);
-  put_duration(out, "lifting.history_retention_us", lp.history_retention);
-  out.append("lifting.audit_channel ");
-  out.append(lp.audit_channel == LiftingParams::AuditChannel::kReliableUdp
-                 ? "reliable_udp"
-                 : "modeled_tcp");
-  out.push_back('\n');
-  put_u64(out, "lifting.audit_max_retries", lp.audit_max_retries);
-  put_duration(out, "lifting.audit_retry_base_us", lp.audit_retry_base);
-  put_f64(out, "lifting.audit_retry_jitter", lp.audit_retry_jitter);
-  put_u64(out, "lifting.audit_dedup_cap", lp.audit_dedup_cap);
-  put_duration(out, "lifting.blame_dedup_window_us", lp.blame_dedup_window);
-
-  const auto& fp = config.faults;
-  put_f64(out, "faults.p_good_to_bad", fp.p_good_to_bad);
-  put_f64(out, "faults.p_bad_to_good", fp.p_bad_to_good);
-  put_f64(out, "faults.loss_good", fp.loss_good);
-  put_f64(out, "faults.loss_bad", fp.loss_bad);
-  put_f64(out, "faults.delay_spike_probability", fp.delay_spike_probability);
-  put_duration(out, "faults.delay_spike_min_us", fp.delay_spike_min);
-  put_duration(out, "faults.delay_spike_max_us", fp.delay_spike_max);
-  put_f64(out, "faults.duplicate_probability", fp.duplicate_probability);
-  put_f64(out, "faults.reorder_probability", fp.reorder_probability);
-  put_duration(out, "faults.reorder_delay_us", fp.reorder_delay);
-  put_u64(out, "faults.partitions", fp.partitions.size());
-  for (std::size_t i = 0; i < fp.partitions.size(); ++i) {
-    const auto& w = fp.partitions[i];
-    const std::string prefix = "faults.partition." + std::to_string(i) + ".";
-    put_duration(out, prefix + "start_us", w.start);
-    put_duration(out, prefix + "end_us", w.end);
-    put_u64(out, prefix + "modulus", w.modulus);
-    put_u64(out, prefix + "remainder", w.remainder);
-    put_u64(out, prefix + "drop_island_to_main", w.drop_island_to_main ? 1 : 0);
-    put_u64(out, prefix + "drop_main_to_island", w.drop_main_to_island ? 1 : 0);
-  }
-
-  put_f64(out, "freerider_fraction", config.freerider_fraction);
-  const auto& fb = config.freerider_behavior;
-  put_f64(out, "behavior.delta_fanout", fb.delta_fanout);
-  put_f64(out, "behavior.delta_propose", fb.delta_propose);
-  put_f64(out, "behavior.delta_serve", fb.delta_serve);
-  put_f64(out, "behavior.period_stretch", fb.period_stretch);
-  put_u64(out, "behavior.lie_in_history", fb.lie_in_history ? 1 : 0);
+  visit_fields(config, Writer{out, {}});
   return out;
 }
 
@@ -383,12 +338,16 @@ std::optional<ScenarioConfig> decode_wire_scenario(const std::string& text,
     if (space == std::string::npos || space == 0 || space + 1 >= line.size()) {
       return fail("malformed line: " + line);
     }
-    Parser p;
-    p.key = std::string_view(line).substr(0, space);
-    p.value = std::string_view(line).substr(space + 1);
-    parse_field(p, cfg);
-    if (p.failed) return fail("bad value: " + line);
-    if (!p.matched) return fail("unknown key: " + line);
+    Matcher m{std::string_view(line).substr(0, space),
+              std::string_view(line).substr(space + 1)};
+    visit_fields(cfg, m);
+    if (!m.matched) return fail("unknown key: " + line);
+    if (!m.ok) return fail("bad value: " + line);
+  }
+  try {
+    cfg.validate();
+  } catch (const std::invalid_argument& e) {
+    return fail(std::string("invalid scenario: ") + e.what());
   }
   return cfg;
 }

@@ -1,6 +1,7 @@
 #ifndef LIFTING_RUNTIME_WIRE_SCENARIO_HPP
 #define LIFTING_RUNTIME_WIRE_SCENARIO_HPP
 
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -20,25 +21,28 @@
 
 namespace lifting::runtime {
 
-/// True when `config` only uses features the wire deployment supports.
-/// The v1 deployment is the static-membership streaming scenario: no
-/// timeline events, no adaptive adversary controllers, no expulsion
-/// propagation, no divergent membership views, and no collusion (all of
-/// which live in Experiment machinery above the per-node stack). Link
-/// profiles — including the weak-node class, which differs only by its
-/// profile — are simulator-only and simply ignored on the wire: the
-/// loopback path's loss/latency is the real thing. On false, `why` (if
-/// non-null) names the first unsupported feature.
+/// Largest wire population: each daemon sizes n-indexed tables up front,
+/// and the launcher keeps one process slot per node.
+inline constexpr std::uint32_t kMaxWireNodes = 4096;
+
+/// True when the wire deployment can run `config` as given: at most
+/// kMaxWireNodes nodes, and every field outside the codec's field table
+/// (visit_fields in wire_scenario.cpp) at its default. Known simulator-only
+/// fields are refused by name (sim_only_fields, same file); behind them, a
+/// config that differs from decode(encode(config)) is refused, so a field
+/// the table does not carry is never silently dropped. Link profiles and
+/// the weak class are ignored: the wire has its own loss and latency. On
+/// false, `why` (if non-null) names the first refused field.
 [[nodiscard]] bool wire_supported(const ScenarioConfig& config,
                                   std::string* why = nullptr);
 
-/// Serializes the wire-relevant subset of `config` (population, gossip,
-/// stream, LiFTinG parameters, freerider roles/behavior).
+/// Serializes the fields of the table, in table order.
 [[nodiscard]] std::string encode_wire_scenario(const ScenarioConfig& config);
 
 /// Parses encode_wire_scenario output back into a config (fields start at
 /// their defaults, so the round trip is exact on the serialized subset).
-/// Returns std::nullopt on malformed input; `error` (if non-null) says why.
+/// Returns std::nullopt on malformed, out-of-range, non-finite or invalid
+/// (ScenarioConfig::validate) input; `error` (if non-null) says why.
 [[nodiscard]] std::optional<ScenarioConfig> decode_wire_scenario(
     const std::string& text, std::string* error = nullptr);
 

@@ -53,6 +53,7 @@ struct LinkProfile {
   /// it a congested uplink delays 60-byte acks by seconds, which no real
   /// stack does.
   std::size_t priority_bytes = 512;
+  friend bool operator==(const LinkProfile&, const LinkProfile&) = default;
 };
 
 /// Aggregate traffic statistics (per network).

@@ -403,23 +403,10 @@ TEST(Faults, WireScenarioRoundTripsFaultPlanAndAuditChannel) {
   std::string error;
   const auto decoded = decode_wire_scenario(encode_wire_scenario(cfg), &error);
   ASSERT_TRUE(decoded.has_value()) << error;
-  EXPECT_EQ(decoded->lifting.audit_channel,
-            LiftingParams::AuditChannel::kReliableUdp);
-  EXPECT_EQ(decoded->lifting.audit_max_retries, 7u);
-  EXPECT_EQ(decoded->lifting.audit_retry_base, milliseconds(125));
-  EXPECT_DOUBLE_EQ(decoded->lifting.audit_retry_jitter, 0.25);
-  EXPECT_EQ(decoded->lifting.audit_dedup_cap, 64u);
-  EXPECT_EQ(decoded->lifting.blame_dedup_window, milliseconds(750));
-  EXPECT_DOUBLE_EQ(decoded->faults.p_good_to_bad, 0.02);
-  EXPECT_DOUBLE_EQ(decoded->faults.loss_bad, 0.6);
-  EXPECT_EQ(decoded->faults.delay_spike_min, milliseconds(20));
-  EXPECT_EQ(decoded->faults.reorder_delay, milliseconds(40));
-  ASSERT_EQ(decoded->faults.partitions.size(), 2u);
-  EXPECT_EQ(decoded->faults.partitions[0].modulus, 7u);
-  EXPECT_EQ(decoded->faults.partitions[0].remainder, 2u);
-  EXPECT_EQ(decoded->faults.partitions[1].start, seconds(7.0));
-  EXPECT_FALSE(decoded->faults.partitions[1].drop_island_to_main);
-  EXPECT_TRUE(decoded->faults.partitions[1].drop_main_to_island);
+  // Everything round-trips but the link profiles, which the wire ignores.
+  auto expected = cfg;
+  expected.link = {};
+  EXPECT_EQ(*decoded, expected);
 
   // The plan survives wire_supported's gate (faults are deployable; the
   // timeline's kSetFaults is not — it needs the launcher's clock).

@@ -103,9 +103,9 @@ void print_family(const Stats& stats, const std::string& family) {
 // Timeout handler state: fixed-size plain arrays, mutated only between
 // alarm() arm/disarm points from the main flow, read by the handler —
 // std::vector would race its own reallocation against the signal.
-constexpr std::uint32_t kMaxNodes = 4096;
-pid_t g_pids[kMaxNodes] = {};
-volatile sig_atomic_t g_done[kMaxNodes] = {};
+// wire_supported caps the population at kMaxWireNodes.
+pid_t g_pids[runtime::kMaxWireNodes] = {};
+volatile sig_atomic_t g_done[runtime::kMaxWireNodes] = {};
 volatile sig_atomic_t g_node_count = 0;
 
 // write()-based helpers (the only formatted output that is legal inside a
@@ -412,11 +412,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string scenario = runtime::encode_wire_scenario(config);
-
-  if (config.nodes > kMaxNodes) {
-    std::fprintf(stderr, "--nodes is capped at %u\n", kMaxNodes);
-    return 2;
-  }
 
   const double duration_s =
       std::chrono::duration<double>(config.duration).count();
