@@ -29,10 +29,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/build_info.hpp"
+#include "common/parse_number.hpp"
 #include "common/table.hpp"
 #include "runtime/experiment.hpp"
 
@@ -195,16 +197,16 @@ Row run(std::uint32_t n) {
 int main(int argc, char** argv) {
   std::vector<std::uint32_t> populations;
   for (int i = 1; i < argc; ++i) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(argv[i], &end, 10);
-    if (end == argv[i] || *end != '\0' || v < 3 || v > 10'000'000) {
+    std::uint32_t v = 0;
+    if (!parse_number(std::string_view(argv[i]), v) || v < 3 ||
+        v > 10'000'000) {
       std::fprintf(stderr,
                    "bench_churn: '%s' is not a valid population "
                    "(expected an integer >= 3)\n",
                    argv[i]);
       return 2;
     }
-    populations.push_back(static_cast<std::uint32_t>(v));
+    populations.push_back(v);
   }
   if (populations.empty()) populations = {1000, 5000};
 

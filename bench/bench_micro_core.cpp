@@ -1,7 +1,8 @@
 /// Micro-benchmarks of the substrate hot paths (google-benchmark):
 /// event queue throughput, entropy computation, RNG sampling, the blame
-/// sampler, message size computation, and the witness log behind every
-/// received proposal and confirm request.
+/// sampler, message size computation, the network's send + deliver round
+/// trip, and the witness log behind every received proposal and confirm
+/// request.
 ///
 /// The JSON context carries `lifting_build_type` — the build type of THIS
 /// binary (google-benchmark's own `library_build_type` describes the
@@ -20,6 +21,7 @@
 #include "gossip/message.hpp"
 #include "lifting/history.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "stats/entropy.hpp"
 
@@ -59,6 +61,38 @@ void BM_SimulatorSelfScheduling(benchmark::State& state) {
                           10000);
 }
 BENCHMARK(BM_SimulatorSelfScheduling);
+
+/// The network's send + deliver round trip on the protocol payload: each
+/// iteration sends `n` small requests from one node to three others and
+/// runs the simulator until all are delivered. The pool is warmed first,
+/// so this times slot acquire/release and pool-page indexing, not growth.
+/// Arg 4096 keeps 16 pool pages in flight at once.
+void BM_NetworkSendDeliver(benchmark::State& state) {
+  const auto n = static_cast<int>(state.range(0));
+  sim::Simulator sim;
+  sim::Network<gossip::Message> net(sim, Pcg32{9});
+  sim::LinkProfile link;
+  link.upload_capacity_bps = 1e12;
+  std::uint64_t delivered = 0;
+  for (std::uint32_t id = 0; id < 4; ++id) {
+    net.add_node(NodeId{id}, link,
+                 [&](sim::Delivery<gossip::Message>&) { ++delivered; });
+  }
+  const gossip::ChunkIdList chunks{ChunkId{1}, ChunkId{2}, ChunkId{3}};
+  const auto round = [&] {
+    for (int i = 0; i < n; ++i) {
+      net.send(NodeId{0}, NodeId{1 + static_cast<std::uint32_t>(i % 3)},
+               sim::Channel::kDatagram, 60,
+               gossip::RequestMsg{static_cast<PeriodIndex>(i), chunks});
+    }
+    sim.run();
+  };
+  round();  // grow the pool and the event arena outside the timing
+  for (auto _ : state) round();
+  benchmark::DoNotOptimize(delivered);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
+}
+BENCHMARK(BM_NetworkSendDeliver)->Arg(64)->Arg(4096);
 
 void BM_ShannonEntropy(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -31,6 +31,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -39,6 +40,7 @@
 
 #include "alloc_tally.hpp"
 #include "common/build_info.hpp"
+#include "common/parse_number.hpp"
 #include "common/table.hpp"
 #include "obs/registry.hpp"
 #include "runtime/experiment.hpp"
@@ -216,19 +218,20 @@ int main(int argc, char** argv) {
       continue;
     }
     if (std::strcmp(argv[i], "--budget-bytes-per-node") == 0 && i + 1 < argc) {
-      budget = std::strtoull(argv[++i], nullptr, 10);
+      budget = parse_arg<std::uint64_t>(argv[i], argv[i + 1]);
+      ++i;
       continue;
     }
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(argv[i], &end, 10);
-    if (end == argv[i] || *end != '\0' || v < 3 || v > 10'000'000) {
+    std::uint32_t v = 0;
+    if (!parse_number(std::string_view(argv[i]), v) || v < 3 ||
+        v > 10'000'000) {
       std::fprintf(stderr,
                    "bench_scale_nodes: '%s' is not a valid population "
                    "(expected an integer >= 3)\n",
                    argv[i]);
       return 2;
     }
-    populations.push_back(static_cast<std::uint32_t>(v));
+    populations.push_back(v);
   }
   if (populations.empty()) populations = {300, 1000, 5000, 20000};
 

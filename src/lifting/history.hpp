@@ -2,7 +2,9 @@
 #define LIFTING_LIFTING_HISTORY_HPP
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/ring_log.hpp"
@@ -22,18 +24,126 @@
 ///  * ConfirmAskerLog — who asked this node to confirm whose proposals;
 ///    polled by auditors to reconstruct F'_h (§5.3).
 ///
-/// Storage is flat rings (entries period/time-ordered, oldest at the
+/// Storage is paged rings (entries period/time-ordered, oldest at the
 /// front): the window only ever evicts from the front and appends at the
 /// back. The two proposal logs keep one fixed-width key per record in a
-/// RingLog and the record's variable-length ids back to back in a packed
-/// RingLog of ids (chunks; partners for the sent log). A key carries its
-/// run lengths, so pruning pops a key together with its runs, and a
-/// backwards walk over the keys tracks where each record's runs start. A
-/// record costs its 24-B key plus 4 B per id, and once the rings reach the
-/// window's high-water size a steady-state node records its whole history
-/// without heap allocation. See DESIGN.md §9.
+/// RingLog and the record's variable-length ids back to back in packed
+/// rings: the chunk ids in a ChunkRuns byte ring as 1-B offsets from a
+/// base the key carries, the sent log's partners in a RingLog of ids. A
+/// key carries its run lengths, so pruning pops a key together with its
+/// runs, and a backwards walk over the keys tracks where each record's
+/// runs start. A received record costs its 24-B key plus 1 B per id (4 B
+/// per id for the rare run that spans more than 255 ids), and once the
+/// rings reach the window's high-water size a steady-state node records
+/// its whole history without heap allocation. See DESIGN.md §9.
 
 namespace lifting {
+
+/// Where one record's chunk ids sit in a ChunkRuns ring, carried in the
+/// record's key. 8 B: the base fills the 4 B of padding a 20-B key would
+/// otherwise round up to.
+struct ChunkRun {
+  std::uint32_t base = 0;  ///< smallest id of the run (0 for an empty run)
+  std::uint32_t bytes : 31 = 0;  ///< the run's length in the byte ring
+  std::uint32_t wide : 1 = 0;    ///< 4-B ids instead of 1-B offsets
+
+  /// Ids in the run.
+  [[nodiscard]] std::uint32_t count() const noexcept {
+    return wide ? bytes / 4 : bytes;
+  }
+};
+
+/// One byte ring holding the chunk runs of a proposal log back to back, in
+/// record order. A run whose ids span at most 255 (max - min) is stored as
+/// 1-B offsets from its base; a wider one keeps its ids whole, 4 B each,
+/// little-endian. Either way the ids keep their original order: proposals
+/// list chunks in the order the proposer picked them, and the audit
+/// snapshot must reproduce it. Callers track where a run starts: the runs
+/// are contiguous, so a key walk sums ChunkRun::bytes.
+class ChunkRuns {
+ public:
+  static constexpr std::uint32_t kMaxOffset = 255;
+
+  /// Appends `ids` as the newest run and returns its descriptor.
+  [[nodiscard]] ChunkRun append(const gossip::ChunkIdList& ids) {
+    ChunkRun run;
+    if (ids.empty()) return run;
+    const auto [lo, hi] = std::minmax_element(ids.begin(), ids.end());
+    const std::uint32_t base = lo->value();
+    // Captured by value: the byte stores may alias `ids`, which would make
+    // a captured reference reload its data pointer per byte.
+    const ChunkId* src = ids.data();
+    run.base = base;
+    run.wide = hi->value() - base > kMaxOffset;
+    run.bytes = static_cast<std::uint32_t>(ids.size()) * (run.wide ? 4 : 1);
+    if (run.wide) {
+      bytes_.append_each(run.bytes, [src](std::size_t k) {
+        return static_cast<std::uint8_t>(src[k / 4].value() >> (8 * (k % 4)));
+      });
+    } else {
+      bytes_.append_each(run.bytes, [src, base](std::size_t k) {
+        return static_cast<std::uint8_t>(src[k].value() - base);
+      });
+    }
+    return run;
+  }
+
+  /// Drops the oldest run, described by `run`.
+  void pop_front(const ChunkRun& run) noexcept { bytes_.pop_front(run.bytes); }
+
+  /// Bytes held: one past the newest run's end.
+  [[nodiscard]] std::size_t size() const noexcept { return bytes_.size(); }
+
+  /// Appends the ids of the run that starts at byte `at`, in order.
+  void decode(std::size_t at, const ChunkRun& run,
+              gossip::ChunkIdList& out) const {
+    if (run.wide) {
+      for (std::uint32_t k = 0; k < run.count(); ++k) {
+        out.push_back(wide_id(at, k));
+      }
+      return;
+    }
+    bytes_.spans(at, run.bytes, [&](std::span<const std::uint8_t> piece) {
+      for (const std::uint8_t off : piece) {
+        out.push_back(ChunkId{run.base + off});
+      }
+      return false;
+    });
+  }
+
+  /// Is every id of `wanted` in the run that starts at byte `at`?
+  [[nodiscard]] bool contains_all(std::size_t at, const ChunkRun& run,
+                                  const gossip::ChunkIdList& wanted) const {
+    if (run.wide) {
+      return std::all_of(wanted.begin(), wanted.end(), [&](ChunkId c) {
+        for (std::uint32_t k = 0; k < run.count(); ++k) {
+          if (wide_id(at, k) == c) return true;
+        }
+        return false;
+      });
+    }
+    return std::all_of(wanted.begin(), wanted.end(), [&](ChunkId c) {
+      // Ids below the base wrap past kMaxOffset: never in the run.
+      const std::uint32_t off = c.value() - run.base;
+      if (off > kMaxOffset) return false;
+      return bytes_.spans(at, run.bytes, [&](std::span<const std::uint8_t> s) {
+        return std::find(s.begin(), s.end(), off) != s.end();
+      });
+    });
+  }
+
+ private:
+  /// The k-th id of the wide run that starts at byte `at`.
+  [[nodiscard]] ChunkId wide_id(std::size_t at, std::uint32_t k) const {
+    std::uint32_t v = 0;
+    for (std::size_t b = 0; b < 4; ++b) {
+      v |= std::uint32_t{bytes_[at + 4 * std::size_t{k} + b]} << (8 * b);
+    }
+    return ChunkId{v};
+  }
+
+  RingLog<std::uint8_t> bytes_;
+};
 
 class SentProposalHistory {
  public:
@@ -42,15 +152,14 @@ class SentProposalHistory {
               const gossip::ChunkIdList& chunks) {
     keys_.push_slot() = Key{at, period,
                             static_cast<std::uint32_t>(partners.size()),
-                            static_cast<std::uint32_t>(chunks.size())};
+                            chunks_.append(chunks)};
     partners_.append(partners.data(), partners.size());
-    chunks_.append(chunks.data(), chunks.size());
   }
 
   void prune(TimePoint cutoff) {
     while (!keys_.empty() && keys_.front().at < cutoff) {
       partners_.pop_front(keys_.front().n_partners);
-      chunks_.pop_front(keys_.front().n_chunks);
+      chunks_.pop_front(keys_.front().chunks);
       keys_.pop_front();
     }
   }
@@ -62,8 +171,8 @@ class SentProposalHistory {
   [[nodiscard]] std::vector<gossip::HistoryProposalRecord> snapshot() const {
     std::vector<gossip::HistoryProposalRecord> out;
     out.reserve(keys_.size());
-    std::size_t p = 0;  // next unread id of each payload ring
-    std::size_t c = 0;
+    std::size_t p = 0;  // next unread partner
+    std::size_t c = 0;  // start of the next chunk run, in bytes
     for (std::size_t i = 0; i < keys_.size(); ++i) {
       const Key& k = keys_[i];
       auto& rec = out.emplace_back();
@@ -71,9 +180,8 @@ class SentProposalHistory {
       for (std::uint32_t j = 0; j < k.n_partners; ++j) {
         rec.partners.push_back(partners_[p++]);
       }
-      for (std::uint32_t j = 0; j < k.n_chunks; ++j) {
-        rec.chunks.push_back(chunks_[c++]);
-      }
+      chunks_.decode(c, k.chunks, rec.chunks);
+      c += k.chunks.bytes;
     }
     return out;
   }
@@ -83,25 +191,24 @@ class SentProposalHistory {
     TimePoint at{};
     PeriodIndex period = 0;
     std::uint32_t n_partners = 0;  // this record's run in partners_
-    std::uint32_t n_chunks = 0;    // this record's run in chunks_
+    ChunkRun chunks;               // this record's run in chunks_
   };
+  static_assert(sizeof(Key) == 24);
   RingLog<Key> keys_;
   RingLog<NodeId> partners_;
-  RingLog<ChunkId> chunks_;
+  ChunkRuns chunks_;
 };
 
 class ReceivedProposalLog {
  public:
   void record(TimePoint at, NodeId from, PeriodIndex period,
               const gossip::ChunkIdList& chunks) {
-    keys_.push_slot() =
-        Key{at, from, period, static_cast<std::uint32_t>(chunks.size())};
-    chunks_.append(chunks.data(), chunks.size());
+    keys_.push_slot() = Key{at, from, period, chunks_.append(chunks)};
   }
 
   void prune(TimePoint cutoff) {
     while (!keys_.empty() && keys_.front().at < cutoff) {
-      chunks_.pop_front(keys_.front().n_chunks);
+      chunks_.pop_front(keys_.front().chunks);
       keys_.pop_front();
     }
   }
@@ -111,12 +218,12 @@ class ReceivedProposalLog {
   /// and must not be re-recorded (the duplicate-delivery idempotence
   /// contract, tests/test_faults.cpp).
   [[nodiscard]] bool has(NodeId from, PeriodIndex period) const {
-    const auto keys = keys_.segments(0, keys_.size());
-    const auto same = [&](const Key& k) {
-      return k.from == from && k.period == period;
-    };
-    return std::any_of(keys.second.rbegin(), keys.second.rend(), same) ||
-           std::any_of(keys.first.rbegin(), keys.first.rend(), same);
+    return keys_.spans_newest_first(
+        0, keys_.size(), [&](std::span<const Key> piece) {
+          return std::any_of(piece.rbegin(), piece.rend(), [&](const Key& k) {
+            return k.from == from && k.period == period;
+          });
+        });
   }
 
   /// Does the log contain a proposal from `subject` (not older than
@@ -125,19 +232,22 @@ class ReceivedProposalLog {
   [[nodiscard]] bool confirms(NodeId subject,
                               const gossip::ChunkIdList& chunks,
                               TimePoint since) const {
+    bool confirmed = false;
     std::size_t end = chunks_.size();  // one past the current record's run
-    const auto keys = keys_.segments(0, keys_.size());
-    for (const auto piece : {keys.second, keys.first}) {  // newest first
+    keys_.spans_newest_first(0, keys_.size(), [&](std::span<const Key> piece) {
       for (auto k = piece.rbegin(); k != piece.rend(); ++k) {
-        if (k->at < since) return false;  // entries are time-ordered
-        const std::size_t begin = end - k->n_chunks;
-        if (k->from == subject && contains_all(begin, end, chunks)) {
+        if (k->at < since) return true;  // entries are time-ordered
+        const std::size_t begin = end - k->chunks.bytes;
+        if (k->from == subject &&
+            chunks_.contains_all(begin, k->chunks, chunks)) {
+          confirmed = true;
           return true;
         }
         end = begin;
       }
-    }
-    return false;
+      return false;
+    });
+    return confirmed;
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return keys_.size(); }
@@ -147,23 +257,12 @@ class ReceivedProposalLog {
     TimePoint at{};
     NodeId from{};
     PeriodIndex period = 0;
-    std::uint32_t n_chunks = 0;  // this record's run in chunks_
+    ChunkRun chunks;  // this record's run in chunks_
   };
-
-  /// Is every id of `wanted` in the run chunks_[begin, end)?
-  [[nodiscard]] bool contains_all(std::size_t begin, std::size_t end,
-                                  const gossip::ChunkIdList& wanted) const {
-    const auto run = chunks_.segments(begin, end - begin);
-    return std::all_of(wanted.begin(), wanted.end(), [&](ChunkId c) {
-      return std::find(run.first.begin(), run.first.end(), c) !=
-                 run.first.end() ||
-             std::find(run.second.begin(), run.second.end(), c) !=
-                 run.second.end();
-    });
-  }
+  static_assert(sizeof(Key) == 24);
 
   RingLog<Key> keys_;
-  RingLog<ChunkId> chunks_;
+  ChunkRuns chunks_;
 };
 
 class ConfirmAskerLog {

@@ -3,8 +3,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 
 #include "common/assert.hpp"
+#include "common/parse_number.hpp"
 
 namespace lifting::runtime {
 
@@ -164,10 +166,9 @@ std::vector<RunDigest> ParallelRunner::run_digests(
 unsigned ParallelRunner::resolve_threads(unsigned requested) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("LIFTING_THREADS")) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 1 && v <= 4096) {
-      return static_cast<unsigned>(v);
+    unsigned v = 0;
+    if (parse_number(std::string_view(env), v) && v >= 1 && v <= 4096) {
+      return v;
     }
   }
   const unsigned hw = std::thread::hardware_concurrency();
@@ -190,10 +191,9 @@ std::uint32_t parse_flag(int argc, const char* const* argv, const char* name,
       value = arg + name_len + 1;
     }
     if (value != nullptr) {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(value, &end, 10);
-      if (end != value && *end == '\0' && v >= lo && v <= hi) {
-        return static_cast<std::uint32_t>(v);
+      std::uint32_t v = 0;
+      if (parse_number(std::string_view(value), v) && v >= lo && v <= hi) {
+        return v;
       }
       std::fprintf(stderr, "%s: '%s' is not an integer in [%u, %u]\n", name,
                    value, lo, hi);

@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <array>
-#include <charconv>
-#include <cmath>
 #include <concepts>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
 #include <type_traits>
+
+#include "common/parse_number.hpp"
 
 namespace lifting::runtime {
 
@@ -157,15 +157,6 @@ struct Writer {
   }
 };
 
-/// Parses `text` whole as a T. std::from_chars takes no '+', no leading
-/// space and no sign for unsigned T, and refuses values that overflow T.
-template <typename T>
-bool parse_number(std::string_view text, T& out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  return ec == std::errc{} && ptr == end;
-}
-
 bool parse(std::string_view text, std::unsigned_integral auto& field) {
   return parse_number(text, field);
 }
@@ -174,7 +165,7 @@ bool parse(std::string_view text, bool& field) {
   return text == "0" || text == "1";
 }
 bool parse(std::string_view text, double& field) {
-  return parse_number(text, field) && std::isfinite(field);
+  return parse_number(text, field);
 }
 bool parse(std::string_view text, Duration& field) {
   Duration::rep us = 0;  // signed, so the sign is refused by hand

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -23,7 +24,9 @@
 /// contiguous NodeId values (no hashing on the per-message path), and
 /// in-flight messages are pooled — a send acquires a free Delivery slot,
 /// and the scheduled closure captures only {network, slot}, so steady-state
-/// traffic performs no heap allocation per message.
+/// traffic performs no heap allocation per message. The pool grows in
+/// fixed pages of slots (the event arena's idiom), so its footprint tracks
+/// the in-flight peak page by page instead of doubling past it.
 
 namespace lifting::sim {
 
@@ -152,7 +155,7 @@ class Network {
   /// In-flight deliveries currently occupying pool slots. Returns to zero
   /// once every scheduled delivery event has fired (leak check in tests).
   [[nodiscard]] std::size_t in_flight() const noexcept {
-    return pool_.size() - free_.size();
+    return slots_ - free_.size();
   }
 
   /// Rewinds the network for a fresh run: endpoints and statistics are
@@ -166,7 +169,7 @@ class Network {
     rng_ = rng;
     nodes_.clear();
     stats_ = NetworkStats{};
-    free_.resize(pool_.size());
+    free_.resize(slots_);
     for (std::uint32_t i = 0; i < free_.size(); ++i) free_[i] = i;
   }
 
@@ -235,7 +238,7 @@ class Network {
     // {this, slot}, which UniqueFunction stores inline — the whole delivery
     // path allocates nothing in steady state.
     const std::uint32_t slot = acquire();
-    Delivery<Payload>& d = pool_[slot];
+    Delivery<Payload>& d = slot_at(slot);
     d.from = from;
     d.to = to;
     d.channel = channel;
@@ -278,10 +281,18 @@ class Network {
     return &nodes_[v];
   }
 
+  [[nodiscard]] Delivery<Payload>& slot_at(std::uint32_t slot) {
+    return pages_[slot >> kPageBits][slot & kPageMask];
+  }
+
+  /// A free slot: a recycled one, else the next never-used slot (adding a
+  /// page when the last one is full).
   [[nodiscard]] std::uint32_t acquire() {
     if (free_.empty()) {
-      pool_.emplace_back();
-      return static_cast<std::uint32_t>(pool_.size() - 1);
+      if ((slots_ >> kPageBits) == pages_.size()) {
+        pages_.emplace_back(new Delivery<Payload>[kPageSlots]);
+      }
+      return slots_++;
     }
     const std::uint32_t slot = free_.back();
     free_.pop_back();
@@ -289,11 +300,10 @@ class Network {
   }
 
   void deliver(std::uint32_t slot) {
-    // Move the delivery out before running the handler: the handler may
-    // send (growing the pool and invalidating references into it). The
-    // slot is recycled before any drop check, so deliveries to torn-down
-    // endpoints cannot leak pool slots.
-    Delivery<Payload> d = std::move(pool_[slot]);
+    // Move the delivery out before running the handler: the slot is
+    // recycled before any drop check, so deliveries to torn-down endpoints
+    // cannot leak pool slots, and a send from the handler may reuse it.
+    Delivery<Payload> d = std::move(slot_at(slot));
     free_.push_back(slot);
     Endpoint* dest = maybe_endpoint(d.to);
     if (dest == nullptr || !dest->attached || !dest->handler) return;
@@ -325,11 +335,21 @@ class Network {
     return base + jitter;
   }
 
+  /// Pool page: 2^8 slots per stable allocation (64 KB at the 256-B
+  /// protocol payload), under the allocator's mmap threshold like the
+  /// event arena's chunks.
+  static constexpr unsigned kPageBits = 8;
+  static constexpr std::uint32_t kPageSlots = 1U << kPageBits;
+  static constexpr std::uint32_t kPageMask = kPageSlots - 1;
+
   Simulator& sim_;
   Pcg32 rng_;
-  std::vector<Endpoint> nodes_;        // dense, indexed by NodeId::value()
-  std::vector<Delivery<Payload>> pool_;  // in-flight message slots
-  std::vector<std::uint32_t> free_;      // recycled pool slots
+  std::vector<Endpoint> nodes_;  // dense, indexed by NodeId::value()
+  /// In-flight message slots; slot i lives in page i >> kPageBits. Pages
+  /// are never moved or freed before the network, and reset() keeps them.
+  std::vector<std::unique_ptr<Delivery<Payload>[]>> pages_;
+  std::uint32_t slots_ = 0;          // slots handed out so far, [0, slots_)
+  std::vector<std::uint32_t> free_;  // recycled slots
   NetworkStats stats_;
 };
 

@@ -3,6 +3,7 @@
 #include <set>
 #include <unordered_set>
 
+#include "common/parse_number.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/time.hpp"
@@ -237,6 +238,27 @@ TEST(TextTable, RendersAlignedRows) {
 TEST(Require, ThrowsOnViolation) {
   EXPECT_NO_THROW(require(true, "fine"));
   EXPECT_THROW(require(false, "bad config"), std::invalid_argument);
+}
+
+TEST(ParseNumber, TakesWholeInRangeValuesOnly) {
+  std::uint32_t u = 0;
+  EXPECT_TRUE(parse_number("4294967295", u));
+  EXPECT_EQ(u, 4294967295u);
+  for (const char* bad : {"4294967296", "4294967299", "-1", "+5", " 5", "5 ",
+                          "5x", "", "0x10"}) {
+    EXPECT_FALSE(parse_number(bad, u)) << "'" << bad << "'";
+  }
+  std::int64_t i = 0;
+  EXPECT_TRUE(parse_number("-5", i));
+  EXPECT_EQ(i, -5);
+  double d = 0.0;
+  EXPECT_TRUE(parse_number("-2.5", d));
+  EXPECT_EQ(d, -2.5);
+  EXPECT_TRUE(parse_number("1e3", d));
+  EXPECT_EQ(d, 1000.0);
+  for (const char* bad : {"nan", "inf", "-inf", "1e999", "1.5.", ".", ""}) {
+    EXPECT_FALSE(parse_number(bad, d)) << "'" << bad << "'";
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "common/ring_log.hpp"
@@ -193,16 +195,98 @@ TEST(RingLog, BulkAppendPopAndSegmentsKeepOrderAcrossWrapAndGrowth) {
     model.erase(model.begin(), model.begin() + static_cast<std::ptrdiff_t>(drop));
     ASSERT_EQ(ring.size(), model.size());
     for (std::size_t i = 0; i < model.size(); ++i) ASSERT_EQ(ring[i], model[i]);
-    // Any sub-run, read as its (at most two) contiguous pieces.
+    // Any sub-run, read as its contiguous pieces in either direction.
     const auto size = static_cast<std::uint32_t>(model.size());
     const std::uint32_t at = rng.below(size + 1);
     const std::uint32_t n = rng.below(size - at + 1);
-    const auto pieces = ring.segments(at, n);
-    std::vector<std::uint32_t> joined(pieces.first.begin(), pieces.first.end());
-    joined.insert(joined.end(), pieces.second.begin(), pieces.second.end());
-    ASSERT_EQ(joined, std::vector<std::uint32_t>(model.begin() + at,
-                                                 model.begin() + at + n));
+    const std::vector<std::uint32_t> want(model.begin() + at,
+                                          model.begin() + at + n);
+    std::vector<std::uint32_t> joined;
+    EXPECT_FALSE(ring.spans(at, n, [&](std::span<const std::uint32_t> s) {
+      joined.insert(joined.end(), s.begin(), s.end());
+      return false;
+    }));
+    ASSERT_EQ(joined, want);
+    joined.clear();
+    ring.spans_newest_first(at, n, [&](std::span<const std::uint32_t> s) {
+      joined.insert(joined.begin(), s.begin(), s.end());
+      return false;
+    });
+    ASSERT_EQ(joined, want);
   }
+}
+
+TEST(RingLog, PushPopAcrossPagesKeepsOrderAndGrowsByPages) {
+  RingLog<std::uint64_t> ring;  // 64 entries per 512-B page
+  constexpr std::size_t kPage = RingLog<std::uint64_t>::kPageEntries;
+  std::uint64_t next = 0;
+  std::uint64_t front = 0;
+  for (int round = 0; round < 40; ++round) {
+    for (int i = 0; i < 23; ++i) ring.push_slot() = next++;
+    for (int i = 0; i < 9; ++i) {
+      ASSERT_EQ(ring.front(), front++);
+      ring.pop_front();
+    }
+    // Growth takes one page at a time: never more than one page beyond
+    // what the live span (which starts inside the first page) needs.
+    ASSERT_EQ(ring.capacity() % kPage, 0u);
+    ASSERT_LT(ring.capacity(), ring.size() + 2 * kPage);
+  }
+  ASSERT_EQ(ring.size(), static_cast<std::size_t>(next - front));
+  for (std::size_t i = 0; i < ring.size(); ++i) ASSERT_EQ(ring[i], front + i);
+}
+
+TEST(RingLog, SlidingWindowRotatesPagesWithoutGrowing) {
+  // Periodic pruning to a fixed window: drained front pages rotate to the
+  // back, so once the window is full the ring never takes another page.
+  RingLog<std::uint32_t> ring;
+  std::uint32_t next = 0;
+  std::size_t warmed = 0;
+  for (int period = 0; period < 600; ++period) {
+    for (int i = 0; i < 37; ++i) ring.push_slot() = next++;
+    if (ring.size() > 400) ring.pop_front(ring.size() - 400);
+    if (period == 50) warmed = ring.capacity();
+    if (period > 50) ASSERT_EQ(ring.capacity(), warmed);
+    ASSERT_EQ(ring.front(), next - static_cast<std::uint32_t>(ring.size()));
+    ASSERT_EQ(ring.back(), next - 1);
+  }
+  EXPECT_GT(warmed, 400u);
+}
+
+TEST(RingLog, RunSpanningSeveralPagesReadsBackInOrder) {
+  RingLog<std::uint8_t> ring;  // 512 entries per page
+  constexpr std::size_t kPage = RingLog<std::uint8_t>::kPageEntries;
+  std::vector<std::uint8_t> model;
+  for (std::size_t i = 0; i < kPage / 2; ++i) model.push_back(0);
+  ring.append(model.data(), model.size());  // start mid-page
+  std::vector<std::uint8_t> run(3 * kPage + 100);
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    run[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  }
+  ring.append(run.data(), run.size());
+  model.insert(model.end(), run.begin(), run.end());
+  ring.pop_front(kPage / 2 + 10);  // drains into the run's first page
+  model.erase(model.begin(),
+              model.begin() + static_cast<std::ptrdiff_t>(kPage / 2 + 10));
+
+  std::vector<std::size_t> lengths;
+  std::vector<std::uint8_t> joined;
+  ring.spans(0, ring.size(), [&](std::span<const std::uint8_t> s) {
+    lengths.push_back(s.size());
+    joined.insert(joined.end(), s.begin(), s.end());
+    return false;
+  });
+  EXPECT_EQ(joined, model);
+  ASSERT_EQ(lengths.size(), 4u);  // the run covers four pages
+  EXPECT_EQ(lengths.front(), kPage / 2 - 10);
+  // Newest first, stopping early: the visitor sees the last page first.
+  std::size_t visits = 0;
+  EXPECT_TRUE(ring.spans_newest_first(0, ring.size(),
+                                      [&](std::span<const std::uint8_t> s) {
+                                        ++visits;
+                                        return s.back() == model.back();
+                                      }));
+  EXPECT_EQ(visits, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -259,17 +343,41 @@ struct NaiveLog {
 };
 
 /// A chunk list of a shape the logs must store exactly: empty, short,
-/// around the inline capacity or well past it, unsorted, with repeats.
+/// around the inline capacity or well past it, unsorted, with repeats, and
+/// with an id span (max - min) up to, just past or far past the 255 that
+/// 1-B offsets cover, based at 0, anywhere, or ending at 2^32 - 1.
 gossip::ChunkIdList random_chunks(Pcg32& rng) {
-  static constexpr std::uint32_t kLengths[] = {0, 1, 3, 7, 28, 31, 32, 33, 70};
+  static constexpr std::uint32_t kLengths[] = {0,  1,  2,  3,  7,
+                                               28, 31, 32, 33, 70};
+  static constexpr std::uint32_t kSpans[] = {0,     1,     89,    254,
+                                             255,   256,   257,   65535,
+                                             65536, 0xFFFFFFFFU};
   const std::uint32_t n = kLengths[rng.below(std::size(kLengths))];
+  const std::uint32_t span = kSpans[rng.below(std::size(kSpans))];
+  const std::uint32_t room = 0xFFFFFFFFU - span;  // the largest base
+  std::uint32_t base = 0;
+  switch (rng.below(3)) {
+    case 0: base = 0; break;
+    case 1: base = room; break;
+    default: base = room == 0xFFFFFFFFU ? rng.next() : rng.below(room + 1);
+  }
+  const auto offset = [&] {
+    return span == 0xFFFFFFFFU ? rng.next() : rng.below(span + 1);
+  };
   gossip::ChunkIdList out;
-  for (std::uint32_t i = 0; i < n; ++i) out.push_back(ChunkId{rng.below(90)});
+  for (std::uint32_t i = 0; i < n; ++i) out.push_back(ChunkId{base + offset()});
+  if (n >= 2) {  // pin the span exactly, at random positions
+    const std::uint32_t lo = rng.below(n);
+    const std::uint32_t hi = (lo + 1 + rng.below(n - 1)) % n;
+    out[lo] = ChunkId{base};
+    out[hi] = ChunkId{base + span};
+  }
   return out;
 }
 
 /// A confirm query: a (possibly empty) subset of a logged record's chunks
-/// in shuffled order, sometimes with an id it never held.
+/// in shuffled order, sometimes with an id it never held or one just
+/// outside (or at the edge of) the record's offset range.
 gossip::ChunkIdList random_query(Pcg32& rng, const NaiveLog& ref) {
   gossip::ChunkIdList out;
   if (ref.records.empty() || rng.below(4) == 0) {
@@ -285,6 +393,12 @@ gossip::ChunkIdList random_query(Pcg32& rng, const NaiveLog& ref) {
   }
   std::reverse(out.begin(), out.end());
   if (rng.below(3) == 0) out.push_back(ChunkId{90 + rng.below(4)});
+  if (!r.chunks.empty() && rng.below(3) == 0) {
+    const auto [lo, hi] = std::minmax_element(r.chunks.begin(), r.chunks.end());
+    const std::uint32_t near[] = {lo->value() - 1, lo->value() + 255,
+                                  lo->value() + 256, hi->value() + 1};
+    out.push_back(ChunkId{near[rng.below(std::size(near))]});
+  }
   return out;
 }
 
@@ -390,6 +504,62 @@ TEST(PackedHistoryDifferential, MatchesNaiveLogsOnRandomSequences) {
       EXPECT_EQ(snap[i].chunks, want[i].chunks);
     }
   }
+}
+
+TEST(PackedHistoryDifferential, OffsetEncodingEdgeCases) {
+  constexpr std::uint32_t kTop = 0xFFFFFFFFU;
+  struct Case {
+    std::vector<std::uint32_t> ids;
+    bool wide;
+  };
+  const Case cases[] = {
+      {{}, false},
+      {{5}, false},
+      {{7, 7, 7}, false},                          // duplicates
+      {{300, 45, 299, 46}, false},                 // unsorted
+      {{255, 0}, false},                           // span exactly 255
+      {{0, 256}, true},                            // span 256
+      {{kTop, kTop - 255, kTop - 1}, false},       // near 2^32 - 1
+      {{kTop - 256, kTop}, true},
+      {{kTop, 0, 17}, true},                       // the widest span
+      {{70'000, 4, 65'539}, true},
+  };
+  ChunkRuns runs;
+  SentProposalHistory sent;
+  ReceivedProposalLog received;
+  std::vector<gossip::HistoryProposalRecord> want;
+  PeriodIndex period = 0;
+  for (const auto& c : cases) {
+    SCOPED_TRACE(::testing::PrintToString(c.ids));
+    gossip::ChunkIdList ids;
+    for (const auto v : c.ids) ids.push_back(ChunkId{v});
+    const std::size_t before = runs.size();
+    const ChunkRun run = runs.append(ids);
+    EXPECT_EQ(run.count(), ids.size());
+    EXPECT_EQ(static_cast<bool>(run.wide), c.wide);
+    EXPECT_EQ(runs.size() - before, (c.wide ? 4 : 1) * ids.size());
+    gossip::ChunkIdList back;
+    runs.decode(before, run, back);
+    EXPECT_EQ(back, ids);
+
+    const TimePoint at = kSimEpoch + seconds(static_cast<double>(period));
+    sent.record(at, period, {NodeId{1}}, ids);
+    received.record(at, NodeId{2}, period, ids);
+    want.push_back({period, {NodeId{1}}, ids});
+    EXPECT_TRUE(received.confirms(NodeId{2}, ids, at));
+    if (!ids.empty()) {
+      const auto [lo, hi] = std::minmax_element(c.ids.begin(), c.ids.end());
+      for (const std::uint32_t miss : {*lo - 1, *hi + 1, *lo + 256}) {
+        if (std::find(c.ids.begin(), c.ids.end(), miss) != c.ids.end()) {
+          continue;
+        }
+        EXPECT_FALSE(received.confirms(NodeId{2}, {ChunkId{miss}}, at))
+            << miss;
+      }
+    }
+    ++period;
+  }
+  EXPECT_EQ(audit_bytes(sent.snapshot()), audit_bytes(want));
 }
 
 }  // namespace

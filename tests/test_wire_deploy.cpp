@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
+
+#include <sys/wait.h>
 
 #include "obs/registry.hpp"
 #include "runtime/experiment.hpp"
@@ -138,6 +142,58 @@ TEST(WireDeploy, RolesDeriveConsistentlyFromConfig) {
     if (i == 0) EXPECT_TRUE(host.is_source());
   }
   EXPECT_EQ(freeriders, 3u);  // floor(0.25 * 12), source excluded by seed
+}
+
+/// Runs `command` through the shell; returns its exit code (-1 if it did
+/// not exit normally) and everything it printed.
+std::pair<int, std::string> run_tool(const std::string& command) {
+  FILE* pipe = ::popen((command + " 2>&1 </dev/null").c_str(), "r");
+  if (pipe == nullptr) return {-1, ""};
+  std::string out;
+  char buf[256];
+  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
+  const int status = ::pclose(pipe);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out};
+}
+
+/// A number flag that does not parse whole, overflows its type or is not
+/// finite stops the launcher with a message naming it. The node binary
+/// does not exist, so a value that got past the parser would fail later,
+/// at launch, with "failed to launch node 0" instead.
+TEST(WireDeploy, LauncherRefusesBadNumbersBeforeLaunch) {
+  const std::string launcher = std::string(LIFTING_LOOPBACK_BIN) +
+                               " --node-bin /nonexistent/lifting_node";
+  const std::pair<std::string, std::string> bad[] = {
+      {"--nodes", "4294967299"},  // wrapped to 3 under the old strtoul cast
+      {"--nodes", "-1"},          {"--nodes", "16x"},
+      {"--seconds", "nan"},       {"--seconds", "1e999"},
+      {"--seed", "-1"},           {"--freeriders", "inf"},
+      {"--health-min", ""},       {"--timeout", "4294967296"},
+      {"--burst-loss", "0.1.2"},  {"--trace-capacity", "+5"},
+  };
+  for (const auto& [flag, value] : bad) {
+    SCOPED_TRACE(flag + " '" + value + "'");
+    const auto [code, out] =
+        run_tool(launcher + " " + flag + " '" + value + "'");
+    EXPECT_EQ(code, 2);
+    EXPECT_NE(out.find(flag + ": '" + value + "' is not"), std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("launch"), std::string::npos) << out;
+  }
+}
+
+/// The daemon refuses a --self that would wrap onto another node id (node
+/// 0, the source, for 2^32) before it reads its scenario.
+TEST(WireDeploy, DaemonRefusesWrappingSelfId) {
+  for (const char* self : {"4294967296", "-1", "3x", ""}) {
+    SCOPED_TRACE(self);
+    const auto [code, out] = run_tool(std::string(LIFTING_NODE_BIN) +
+                                      " --self '" + self + "'");
+    EXPECT_EQ(code, 1);
+    EXPECT_NE(out.find(std::string("ERROR --self: '") + self + "'"),
+              std::string::npos)
+        << out;
+  }
 }
 
 }  // namespace

@@ -28,6 +28,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/parse_number.hpp"
 #include "gossip/message.hpp"
 #include "runtime/scenario.hpp"
 #include "runtime/wire_scenario.hpp"
@@ -315,32 +316,31 @@ Options parse_options(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : "";
     };
     if (arg == "--nodes") {
-      opt.nodes = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
+      opt.nodes = parse_arg<std::uint32_t>(arg, next());
     } else if (arg == "--seconds") {
-      opt.seconds = std::strtod(next(), nullptr);
+      opt.seconds = parse_arg<double>(arg, next());
     } else if (arg == "--node-bin") {
       opt.node_bin = next();
     } else if (arg == "--preset") {
       opt.preset = next();
     } else if (arg == "--seed") {
-      opt.seed = std::strtoull(next(), nullptr, 10);
+      opt.seed = parse_arg<std::uint64_t>(arg, next());
     } else if (arg == "--freeriders") {
-      opt.freeriders = std::strtod(next(), nullptr);
+      opt.freeriders = parse_arg<double>(arg, next());
     } else if (arg == "--health-min") {
-      opt.health_min = std::strtod(next(), nullptr);
+      opt.health_min = parse_arg<double>(arg, next());
     } else if (arg == "--timeout") {
-      opt.timeout_s =
-          static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+      opt.timeout_s = parse_arg<unsigned>(arg, next());
     } else if (arg == "--verbose") {
       opt.verbose = true;
     } else if (arg == "--audit-reliable") {
       opt.audit_reliable = true;
     } else if (arg == "--burst-loss") {
-      opt.burst_loss = std::strtod(next(), nullptr);
+      opt.burst_loss = parse_arg<double>(arg, next());
     } else if (arg == "--trace-dir") {
       opt.trace_dir = next();
     } else if (arg == "--trace-capacity") {
-      opt.trace_capacity = std::strtoull(next(), nullptr, 10);
+      opt.trace_capacity = parse_arg<std::size_t>(arg, next());
     } else {
       std::fprintf(stderr,
                    "usage: lifting_loopback [--nodes N] [--seconds S] "

@@ -36,8 +36,10 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/parse_number.hpp"
 #include "gossip/message.hpp"
 #include "obs/export.hpp"
 #include "obs/registry.hpp"
@@ -75,7 +77,10 @@ int main(int argc, char** argv) {
   bool have_self = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--self") == 0 && i + 1 < argc) {
-      self_id = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      if (!parse_number(std::string_view(argv[++i]), self_id)) {
+        return fail(std::string("--self: '") + argv[i] +
+                    "' is not a node id");
+      }
       have_self = true;
     } else {
       return fail(std::string("unknown argument: ") + argv[i]);

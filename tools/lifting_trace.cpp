@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse_number.hpp"
 #include "common/types.hpp"
 #include "obs/explain.hpp"
 #include "obs/export.hpp"
@@ -85,8 +86,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--require") {
       require_csv = next();
     } else if (arg == "--explain") {
-      explain_node =
-          static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
+      explain_node = parse_arg<std::uint32_t>(arg, next());
       have_explain = true;
     } else if (arg == "--quiet") {
       quiet = true;
